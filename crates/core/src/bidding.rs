@@ -22,7 +22,6 @@ const GRID: usize = 512;
 
 /// Static bidding strategies for MPR-STAT markets (Fig. 4(a)).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StaticStrategy {
     /// Bid exactly on the reference cost curve with maximal supply: the
     /// largest participation that still guarantees a non-negative net gain

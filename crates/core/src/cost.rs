@@ -104,7 +104,6 @@ impl<T: CostModel + ?Sized> CostModel for Box<T> {
 /// assert_eq!(c.unit_cost(0.5), 2.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearCost {
     slope: f64,
     delta_max: f64,
@@ -134,7 +133,6 @@ impl CostModel for LinearCost {
 /// Section III-C, where the perceived cost grows with the square of the
 /// performance loss.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QuadraticCost {
     alpha: f64,
     delta_max: f64,
@@ -167,7 +165,6 @@ impl CostModel for QuadraticCost {
 /// it captures the super-linear growth of extra execution seen in Fig. 7(b)
 /// while keeping closed-form marginals.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerLawCost {
     coeff: f64,
     exponent: f64,
@@ -216,7 +213,6 @@ impl CostModel for PowerLawCost {
 /// for the cost-model ablation; the market solvers handle it through their
 /// generic numeric paths.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogFitCost {
     a: f64,
     b: f64,

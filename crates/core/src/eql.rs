@@ -14,7 +14,6 @@ use crate::units::Watts;
 /// One job as seen by EQL: just its size. No cost model, no bids — EQL is
 /// deliberately oblivious.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EqlJob {
     /// The job id.
     pub id: JobId,

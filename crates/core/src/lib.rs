@@ -17,40 +17,45 @@
 //! * [`bidding`] — the user-side strategies: the *cooperative* /
 //!   *conservative* / *deficient* static bids of Fig. 4(a) and the net-gain
 //!   maximizing best response of Fig. 4(b) (Eqn. 7).
-//! * [`StaticMarket`] (MPR-STAT) — one-shot market clearing from bids fixed
-//!   at job-submission time, solved by bisection on the **MClr** problem
-//!   (Eqns. 4–5).
-//! * [`InteractiveMarket`] (MPR-INT) — the iterative price/bid exchange that
-//!   converges to a Nash equilibrium with socially optimal cost.
-//! * [`opt`] — the centralized **OPT** benchmark (Eqns. 1–2) minimizing total
-//!   performance-loss cost subject to the power-reduction constraint.
-//! * [`eql`] — the performance-oblivious **EQL** benchmark that slows every
-//!   core down uniformly.
-//! * [`mechanism`] — the unified [`Mechanism`](mechanism::Mechanism)
-//!   interface: every solver above, ported onto one
-//!   `clear(&MarketInstance, target) -> Clearing` contract over a shared
-//!   structure-of-arrays [`MarketInstance`](mechanism::MarketInstance),
-//!   plus the composable
-//!   [`FallbackChain`](mechanism::FallbackChain) degradation ladder.
+//! * [`mechanism`] — every clearing scheme behind one
+//!   [`Mechanism`] interface: `clear(&MarketInstance, target) -> Clearing`
+//!   over a shared structure-of-arrays [`MarketInstance`], returning the
+//!   crate's one [`Clearing`] type (per-row reductions, prices, payments,
+//!   residual and diagnostics). The schemes are:
+//!   * [`MclrMechanism`] (MPR-STAT) — one-shot clearing from bids fixed at
+//!     job-submission time, solved by bisection on the **MClr** problem
+//!     (Eqns. 4–5);
+//!   * [`InteractiveMechanism`] (MPR-INT) — the iterative price/bid
+//!     exchange that converges to a Nash equilibrium with socially optimal
+//!     cost, and its fault-tolerant and networked level-0 variants
+//!     [`ResilientInteractiveMechanism`] and
+//!     [`TransportedInteractiveMechanism`];
+//!   * [`OptMechanism`] — the centralized **OPT** benchmark (Eqns. 1–2)
+//!     minimizing total performance-loss cost subject to the
+//!     power-reduction constraint ([`opt`]);
+//!   * [`EqlMechanism`] — the performance-oblivious **EQL** benchmark that
+//!     slows every core down uniformly ([`eql`]);
+//!   * [`VcgMechanism`] and the composable [`FallbackChain`] degradation
+//!     ladder.
 //!
 //! # Quick example
 //!
 //! Clear a static market over three jobs that must jointly shed 500 W:
 //!
 //! ```
-//! use mpr_core::{Participant, StaticMarket, SupplyFunction, Watts};
+//! use mpr_core::{MarketInstance, MclrMechanism, Mechanism, ParticipantSpec, Watts};
 //!
-//! # fn main() -> Result<(), mpr_core::MarketError> {
-//! let market = StaticMarket::new(vec![
-//!     Participant::new(0, SupplyFunction::new(4.0, 0.8)?, Watts::new(125.0)),
-//!     Participant::new(1, SupplyFunction::new(8.0, 0.4)?, Watts::new(125.0)),
-//!     Participant::new(2, SupplyFunction::new(2.0, 2.0)?, Watts::new(125.0)),
-//! ]);
-//! let clearing = market.clear(Watts::new(500.0))?;
+//! # fn main() -> Result<(), mpr_core::MechanismError> {
+//! let instance: MarketInstance = [(4.0, 0.8), (8.0, 0.4), (2.0, 2.0)]
+//!     .into_iter()
+//!     .zip(0..)
+//!     .map(|((delta, bid), id)| ParticipantSpec::new(id, delta, Watts::new(125.0)).with_bid(bid))
+//!     .collect();
+//! let clearing = MclrMechanism::strict().clear(&instance, Watts::new(500.0))?;
 //! assert!(clearing.total_power_reduction() >= Watts::new(500.0 * 0.999));
-//! for a in clearing.allocations() {
-//!     println!("job {} sheds {:.3} cores, reward {:.3} core-hours/h",
-//!              a.id, a.reduction, a.reward_rate());
+//! for (i, (id, reduction)) in clearing.ids().iter().zip(clearing.reductions()).enumerate() {
+//!     println!("job {id} sheds {reduction:.3} cores, reward {:.3} core-hours/h",
+//!              clearing.payment(i).get());
 //! }
 //! # Ok(())
 //! # }
@@ -81,21 +86,18 @@ pub mod prelude {
     pub use crate::cost::{CostModel, LinearCost, PowerLawCost, QuadraticCost, ScaledCost};
     pub use crate::error::MarketError;
     pub use crate::market::faults::{
-        ByzantineAgent, ChainLevel, CrashAgent, ResilientConfig, ResilientInteractiveMarket,
-        ResilientOutcome, StaleAgent, UnresponsiveAgent,
+        ByzantineAgent, ChainLevel, CrashAgent, ResilientConfig, StaleAgent, UnresponsiveAgent,
     };
     pub use crate::market::interactive::{
-        is_oscillating, BiddingAgent, InteractiveConfig, InteractiveMarket, NetGainAgent,
+        is_oscillating, BiddingAgent, InteractiveConfig, NetGainAgent,
     };
-    pub use crate::market::static_market::StaticMarket;
     pub use crate::market::transport::{
         NetFaultConfig, PerfectTransport, RetryPolicy, SimNet, Transport, TransportConfig,
         TransportDiagnostics, TransportError,
     };
-    pub use crate::market::{Allocation, Clearing};
     pub use crate::mechanism::{
-        EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveMechanism, MarketInstance,
-        MclrMechanism, Mechanism, MechanismError, OptMechanism, ParticipantSpec,
+        Clearing, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveMechanism,
+        MarketInstance, MclrMechanism, Mechanism, MechanismError, OptMechanism, ParticipantSpec,
         ResilientInteractiveMechanism, TransportedInteractiveMechanism, VcgMechanism,
     };
     pub use crate::participant::Participant;
@@ -107,22 +109,18 @@ pub use cost::{CostModel, LinearCost, LogFitCost, PowerLawCost, QuadraticCost, S
 pub use error::MarketError;
 pub use market::faults::{
     ByzantineAgent, ChainLevel, ConvergenceWatchdog, CrashAgent, FaultRng, Quarantine,
-    ResilientConfig, ResilientInteractiveMarket, ResilientOutcome, StaleAgent, UnresponsiveAgent,
+    ResilientConfig, StaleAgent, UnresponsiveAgent,
 };
-pub use market::interactive::{
-    is_oscillating, BiddingAgent, InteractiveConfig, InteractiveMarket, NetGainAgent,
-};
+pub use market::interactive::{is_oscillating, BiddingAgent, InteractiveConfig, NetGainAgent};
 pub use market::payment::{PaymentKey, PaymentLog};
-pub use market::static_market::StaticMarket;
 pub use market::transport::{
     NetFaultConfig, PerfectTransport, RetryPolicy, SimNet, Tick, Transport, TransportConfig,
     TransportDiagnostics, TransportError, TransportStats,
 };
-pub use market::{Allocation, Clearing};
 pub use mclr::ClearingIndex;
 pub use mechanism::{
-    EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveMechanism, MarketInstance,
-    MclrMechanism, Mechanism, MechanismError, OptMechanism, ParticipantSpec,
+    Clearing, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveMechanism,
+    MarketInstance, MclrMechanism, Mechanism, MechanismError, OptMechanism, ParticipantSpec,
     ResilientInteractiveMechanism, TransportedInteractiveMechanism, VcgMechanism,
 };
 pub use opt::OptMethod;

@@ -1,16 +1,17 @@
-//! MPR-INT: the interactive market (Section III-B).
+//! MPR-INT's user side and tuning (Section III-B).
 //!
 //! The HPC manager declares an initial clearing price; users respond with
 //! bids maximizing their net gain at that price; the manager re-solves MClr
 //! and announces the updated price. The exchange repeats until the price
 //! converges — a Nash equilibrium whose allocation matches the social
-//! optimum OPT (Johari & Tsitsiklis 2011; Section III-D).
+//! optimum OPT (Johari & Tsitsiklis 2011; Section III-D). This module holds
+//! the agents that answer the announcements and the exchange's knobs; the
+//! exchange itself is [`InteractiveMechanism`](crate::mechanism::InteractiveMechanism)
+//! and its chain-level variants.
 
 use crate::bidding;
 use crate::cost::CostModel;
 use crate::error::MarketError;
-use crate::market::{Allocation, Clearing};
-use crate::mclr;
 use crate::participant::{JobId, Participant};
 use crate::supply::SupplyFunction;
 use crate::units::{Price, Watts};
@@ -53,6 +54,33 @@ impl<T: BiddingAgent + ?Sized> BiddingAgent for Box<T> {
     fn respond(&mut self, price: f64) -> Result<f64, MarketError> {
         (**self).respond(price)
     }
+}
+
+/// One strict round: every agent answers `price`, in order, or the
+/// exchange aborts with the agent's error. A non-finite bid is an error
+/// too; `max(0.0)` would otherwise turn a NaN into a zero bid, the largest
+/// supply there is.
+pub(crate) fn collect_bids<A: BiddingAgent>(
+    agents: &mut [A],
+    price: Price,
+    participants: &mut Vec<Participant>,
+) -> Result<bool, MarketError> {
+    for agent in agents {
+        let bid = agent.respond(price.get())?;
+        if !bid.is_finite() {
+            return Err(MarketError::InvalidParameter {
+                name: "bid",
+                value: bid,
+                constraint: "agent returned a non-finite bid",
+            });
+        }
+        participants.push(Participant::new(
+            agent.job_id(),
+            SupplyFunction::new(agent.delta_max(), bid.max(0.0))?,
+            Watts::new(agent.watts_per_unit()),
+        ));
+    }
+    Ok(true)
 }
 
 /// The rational agent: best-responds by maximizing the net gain
@@ -169,181 +197,51 @@ pub fn is_oscillating(trace: &[f64], rel_tolerance: f64, window: usize) -> bool 
     true
 }
 
-/// Outcome of an interactive clearing, bundling the final [`Clearing`] with
-/// convergence diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InteractiveOutcome {
-    /// The final clearing (price, allocations).
-    pub clearing: Clearing,
-    /// Whether the price converged within tolerance (as opposed to the
-    /// iteration cap firing).
-    pub converged: bool,
-    /// Price trajectory over the rounds, including the final price.
-    pub price_trace: Vec<f64>,
-}
-
-/// The interactive MPR market over a set of bidding agents.
-pub struct InteractiveMarket {
-    agents: Vec<Box<dyn BiddingAgent>>,
-    config: InteractiveConfig,
-}
-
-impl std::fmt::Debug for InteractiveMarket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InteractiveMarket")
-            .field("agents", &self.agents.len())
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl InteractiveMarket {
-    /// Creates an interactive market with the given agents and
-    /// configuration.
-    #[must_use]
-    pub fn new(agents: Vec<Box<dyn BiddingAgent>>, config: InteractiveConfig) -> Self {
-        Self { agents, config }
-    }
-
-    /// Number of registered agents.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// `true` when no agents are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.agents.is_empty()
-    }
-
-    /// Runs the iterative price/bid exchange for a power-reduction target.
-    ///
-    /// # Errors
-    ///
-    /// * [`MarketError::NoParticipants`] on an empty market with a positive
-    ///   target.
-    /// * [`MarketError::Infeasible`] when `Σ Δ_m · watts_per_unit` cannot
-    ///   cover the target (feasibility does not depend on the bids).
-    /// * Any error raised by an agent's [`BiddingAgent::respond`].
-    pub fn clear(&mut self, target: Watts) -> Result<InteractiveOutcome, MarketError> {
-        let target_watts = target.get();
-        if target_watts <= 0.0 {
-            let clamped = Watts::new(target_watts.max(0.0));
-            return Ok(InteractiveOutcome {
-                clearing: Clearing::new(Price::ZERO, clamped, Vec::new(), 0),
-                converged: true,
-                price_trace: vec![0.0],
-            });
-        }
-        if self.agents.is_empty() {
-            return Err(MarketError::NoParticipants);
-        }
-        let attainable: f64 = self
-            .agents
-            .iter()
-            .map(|a| a.delta_max() * a.watts_per_unit())
-            .sum();
-        if attainable < target_watts * (1.0 - 1e-9) {
-            return Err(MarketError::Infeasible {
-                target_watts,
-                attainable_watts: attainable,
-            });
-        }
-
-        let mut price = self.config.initial_price.max(1e-9);
-        let mut trace = vec![price];
-        let mut converged = false;
-        let mut participants: Vec<Participant> = Vec::with_capacity(self.agents.len());
-        let mut iterations = 0;
-
-        for _ in 0..self.config.max_iterations {
-            iterations += 1;
-            participants.clear();
-            for agent in &mut self.agents {
-                let bid = agent.respond(price)?;
-                if !bid.is_finite() {
-                    // A NaN would otherwise slip through `max(0.0)` as a
-                    // zero bid — maximal supply for a garbage response.
-                    return Err(MarketError::InvalidParameter {
-                        name: "bid",
-                        value: bid,
-                        constraint: "agent returned a non-finite bid",
-                    });
-                }
-                participants.push(Participant::new(
-                    agent.job_id(),
-                    SupplyFunction::new(agent.delta_max(), bid.max(0.0))?,
-                    Watts::new(agent.watts_per_unit()),
-                ));
-            }
-            let sol = mclr::clear_best_effort(&participants, target);
-            let next = (1.0 - self.config.damping) * price + self.config.damping * sol.price.get();
-            let rel_change = (next - price).abs() / price.abs().max(1e-9);
-            price = next;
-            trace.push(price);
-            if rel_change <= self.config.tolerance {
-                converged = true;
-                break;
-            }
-        }
-
-        // Final clearing with the last bids: one more MClr solve guarantees
-        // the damped/announced price is replaced by one that actually meets
-        // the target with these supplies.
-        let final_sol = mclr::clear_best_effort(&participants, target);
-        let clearing_price = final_sol.price;
-        let allocations: Vec<Allocation> = participants
-            .iter()
-            .map(|p| {
-                let reduction = p.supply.supply(clearing_price);
-                Allocation {
-                    id: p.id,
-                    reduction,
-                    power_reduction: reduction * p.watts_per_unit,
-                    price: clearing_price.get(),
-                }
-            })
-            .collect();
-        Ok(InteractiveOutcome {
-            clearing: Clearing::new(clearing_price, target, allocations, iterations),
-            converged,
-            price_trace: trace,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::cost::{PowerLawCost, QuadraticCost};
+    use crate::mechanism::{
+        InteractiveMechanism, MarketInstance, Mechanism, MechanismError, ParticipantSpec,
+    };
     use crate::opt;
 
-    fn quad_agents(alphas: &[f64]) -> Vec<Box<dyn BiddingAgent>> {
-        alphas
-            .iter()
+    fn instance_of(costs: Vec<Arc<dyn CostModel>>) -> MarketInstance {
+        costs
+            .into_iter()
             .enumerate()
-            .map(|(i, &a)| {
-                Box::new(NetGainAgent::new(
-                    i as u64,
-                    QuadraticCost::new(a, 1.0),
-                    Watts::new(125.0),
-                )) as Box<dyn BiddingAgent>
+            .map(|(i, c)| {
+                ParticipantSpec::new(i as u64, c.delta_max(), Watts::new(125.0)).with_cost(c)
             })
             .collect()
     }
 
+    fn quad_instance(alphas: &[f64]) -> MarketInstance {
+        instance_of(
+            alphas
+                .iter()
+                .map(|&a| Arc::new(QuadraticCost::new(a, 1.0)) as Arc<dyn CostModel>)
+                .collect(),
+        )
+    }
+
+    fn strict(config: InteractiveConfig) -> InteractiveMechanism {
+        InteractiveMechanism::strict(config)
+    }
+
     #[test]
     fn converges_on_quadratic_costs() {
-        let mut m =
-            InteractiveMarket::new(quad_agents(&[1.0, 2.0, 4.0]), InteractiveConfig::default());
-        let out = m.clear(Watts::new(150.0)).unwrap();
-        assert!(out.converged, "price trace: {:?}", out.price_trace);
-        assert!(out.clearing.met_target());
+        let c = strict(InteractiveConfig::default())
+            .clear(&quad_instance(&[1.0, 2.0, 4.0]), Watts::new(150.0))
+            .unwrap();
+        assert!(c.diagnostics().converged, "{:?}", c.diagnostics());
+        assert!(c.met_target());
         // More sensitive (higher α) jobs reduce less.
-        let a = out.clearing.allocations();
-        assert!(a[0].reduction > a[1].reduction);
-        assert!(a[1].reduction > a[2].reduction);
+        let r = c.reductions();
+        assert!(r[0] > r[1]);
+        assert!(r[1] > r[2]);
     }
 
     #[test]
@@ -354,13 +252,15 @@ mod tests {
             .iter()
             .map(|&a| QuadraticCost::new(a, 1.0))
             .collect();
-        let agents: Vec<Box<dyn BiddingAgent>> = costs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Box::new(NetGainAgent::new(i as u64, *c, Watts::new(125.0))) as _)
-            .collect();
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let out = m.clear(Watts::new(250.0)).unwrap();
+        let inst = instance_of(
+            costs
+                .iter()
+                .map(|c| Arc::new(*c) as Arc<dyn CostModel>)
+                .collect(),
+        );
+        let c = strict(InteractiveConfig::default())
+            .clear(&inst, Watts::new(250.0))
+            .unwrap();
 
         let jobs: Vec<opt::OptJob<'_>> = costs
             .iter()
@@ -369,15 +269,11 @@ mod tests {
             .collect();
         let optimal = opt::solve(&jobs, Watts::new(250.0), opt::OptMethod::Auto).unwrap();
 
-        let int_cost: f64 = out
-            .clearing
-            .allocations()
+        let int_cost: f64 = c
+            .reductions()
             .iter()
             .zip(&costs)
-            .map(|(a, c)| {
-                use crate::cost::CostModel;
-                c.cost(a.reduction)
-            })
+            .map(|(r, cost)| cost.cost(*r))
             .sum();
         assert!(
             int_cost <= optimal.total_cost * 1.10 + 1e-9,
@@ -388,45 +284,59 @@ mod tests {
 
     #[test]
     fn zero_target_clears_immediately() {
-        let mut m = InteractiveMarket::new(quad_agents(&[1.0]), InteractiveConfig::default());
-        let out = m.clear(Watts::ZERO).unwrap();
-        assert!(out.converged);
-        assert_eq!(out.clearing.price(), Price::ZERO);
+        let c = strict(InteractiveConfig::default())
+            .clear(&quad_instance(&[1.0]), Watts::ZERO)
+            .unwrap();
+        assert!(c.diagnostics().converged);
+        assert_eq!(c.iterations(), 0);
+        assert_eq!(c.price(), Price::ZERO);
+        assert_eq!(c.diagnostics().price_trace, vec![0.0]);
     }
 
     #[test]
     fn empty_market_errs() {
-        let mut m = InteractiveMarket::new(Vec::new(), InteractiveConfig::default());
+        let mut m = strict(InteractiveConfig::default());
+        let empty = MarketInstance::from_specs(std::iter::empty());
+        assert!(matches!(
+            m.clear(&empty, Watts::new(10.0)),
+            Err(MechanismError::DegenerateInstance { .. })
+        ));
+        // Rows without a cost model cannot bid: no agent, no market.
+        let costless: MarketInstance = (0..2)
+            .map(|id| ParticipantSpec::new(id, 1.0, Watts::new(125.0)))
+            .collect();
         assert_eq!(
-            m.clear(Watts::new(10.0)).unwrap_err(),
-            MarketError::NoParticipants
+            m.clear(&costless, Watts::new(10.0)).unwrap_err(),
+            MechanismError::Market(MarketError::NoParticipants)
         );
-        assert!(m.is_empty());
-        assert_eq!(m.len(), 0);
     }
 
     #[test]
     fn infeasible_target_errs() {
-        let mut m = InteractiveMarket::new(quad_agents(&[1.0]), InteractiveConfig::default());
         // One job, Δ = 1, 125 W/unit → attainable 125 W.
-        let err = m.clear(Watts::new(1000.0)).unwrap_err();
-        assert!(matches!(err, MarketError::Infeasible { .. }));
+        let err = strict(InteractiveConfig::default())
+            .clear(&quad_instance(&[1.0]), Watts::new(1000.0))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            MechanismError::Market(MarketError::Infeasible { .. })
+        ));
     }
 
     #[test]
     fn iteration_cap_returns_last_price() {
-        let mut m = InteractiveMarket::new(
-            quad_agents(&[1.0, 3.0]),
-            InteractiveConfig {
-                max_iterations: 2,
-                tolerance: 0.0, // never converges by tolerance
-                ..InteractiveConfig::default()
-            },
-        );
-        let out = m.clear(Watts::new(100.0)).unwrap();
-        assert!(!out.converged);
-        assert_eq!(out.clearing.iterations(), 2);
-        assert!(out.clearing.price() > Price::ZERO);
+        let c = strict(InteractiveConfig {
+            max_iterations: 2,
+            tolerance: 0.0, // never converges by tolerance
+            ..InteractiveConfig::default()
+        })
+        .clear(&quad_instance(&[1.0, 3.0]), Watts::new(100.0))
+        .unwrap();
+        assert!(!c.diagnostics().converged);
+        assert!(!c.diagnostics().accepted);
+        assert_eq!(c.iterations(), 2);
+        assert_eq!(c.diagnostics().price_trace.len(), 3);
+        assert!(c.price() > Price::ZERO);
     }
 
     #[test]
@@ -452,16 +362,14 @@ mod tests {
 
     #[test]
     fn damping_still_converges() {
-        let mut m = InteractiveMarket::new(
-            quad_agents(&[1.0, 2.0, 4.0]),
-            InteractiveConfig {
-                damping: 0.5,
-                ..InteractiveConfig::default()
-            },
-        );
-        let out = m.clear(Watts::new(150.0)).unwrap();
-        assert!(out.converged);
-        assert!(out.clearing.met_target());
+        let c = strict(InteractiveConfig {
+            damping: 0.5,
+            ..InteractiveConfig::default()
+        })
+        .clear(&quad_instance(&[1.0, 2.0, 4.0]), Watts::new(150.0))
+        .unwrap();
+        assert!(c.diagnostics().converged);
+        assert!(c.met_target());
     }
 
     #[test]
@@ -470,11 +378,12 @@ mod tests {
         let mut iters = Vec::new();
         for n in [10usize, 100, 1000] {
             let alphas: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
-            let mut m = InteractiveMarket::new(quad_agents(&alphas), InteractiveConfig::default());
             let attainable = 125.0 * n as f64;
-            let out = m.clear(Watts::new(0.3 * attainable)).unwrap();
-            assert!(out.converged);
-            iters.push(out.clearing.iterations());
+            let c = strict(InteractiveConfig::default())
+                .clear(&quad_instance(&alphas), Watts::new(0.3 * attainable))
+                .unwrap();
+            assert!(c.diagnostics().converged);
+            iters.push(c.iterations());
         }
         let max = *iters.iter().max().unwrap();
         let min = *iters.iter().min().unwrap();
@@ -484,48 +393,58 @@ mod tests {
         );
     }
 
-    /// An agent whose communication fails after a few rounds.
-    struct FlakyAgent {
-        inner: NetGainAgent<QuadraticCost>,
-        rounds_before_failure: usize,
-        round: usize,
+    /// A cost model whose `Δ` turns invalid after a number of reads: the
+    /// user's agent loses its model mid-negotiation and every later best
+    /// response fails.
+    struct FlakyCost {
+        inner: QuadraticCost,
+        reads_before_failure: usize,
+        reads: std::sync::atomic::AtomicUsize,
     }
 
-    impl BiddingAgent for FlakyAgent {
-        fn job_id(&self) -> u64 {
-            self.inner.job_id()
-        }
-        fn watts_per_unit(&self) -> f64 {
-            self.inner.watts_per_unit()
+    impl CostModel for FlakyCost {
+        fn cost(&self, delta: f64) -> f64 {
+            self.inner.cost(delta)
         }
         fn delta_max(&self) -> f64 {
-            self.inner.delta_max()
-        }
-        fn respond(&mut self, price: f64) -> Result<f64, MarketError> {
-            self.round += 1;
-            if self.round > self.rounds_before_failure {
-                return Err(MarketError::Numeric("agent lost connectivity"));
+            let n = self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if n < self.reads_before_failure {
+                self.inner.delta_max()
+            } else {
+                f64::NAN
             }
-            self.inner.respond(price)
         }
     }
 
     #[test]
     fn agent_failure_aborts_the_round_with_an_error() {
-        let mut agents = quad_agents(&[1.0, 2.0]);
-        agents.push(Box::new(FlakyAgent {
-            inner: NetGainAgent::new(99, QuadraticCost::new(3.0, 1.0), Watts::new(125.0)),
-            rounds_before_failure: 2,
-            round: 0,
+        let mut costs: Vec<Arc<dyn CostModel>> = [1.0, 2.0]
+            .iter()
+            .map(|&a| Arc::new(QuadraticCost::new(a, 1.0)) as Arc<dyn CostModel>)
+            .collect();
+        // Δ is read by the instance, the feasibility check, and twice per
+        // round (best response, supply): the second round fails.
+        costs.push(Arc::new(FlakyCost {
+            inner: QuadraticCost::new(3.0, 1.0),
+            reads_before_failure: 4,
+            reads: std::sync::atomic::AtomicUsize::new(0),
         }));
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let err = m.clear(Watts::new(200.0)).unwrap_err();
-        assert_eq!(err, MarketError::Numeric("agent lost connectivity"));
+        let err = strict(InteractiveConfig::default())
+            .clear(&instance_of(costs), Watts::new(200.0))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MechanismError::Market(MarketError::InvalidParameter {
+                    name: "delta_max",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
     }
 
-    /// A hostile agent that bids NaN/∞-adjacent garbage must not poison
-    /// the clearing: with_bid clamps negatives, and SupplyFunction::new
-    /// rejects non-finite bids.
+    /// A hostile agent that bids NaN.
     struct GarbageAgent;
     impl BiddingAgent for GarbageAgent {
         fn job_id(&self) -> u64 {
@@ -544,26 +463,34 @@ mod tests {
 
     #[test]
     fn non_finite_bids_are_rejected_not_propagated() {
-        let mut agents = quad_agents(&[1.0]);
-        agents.push(Box::new(GarbageAgent));
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let err = m.clear(Watts::new(150.0)).unwrap_err();
-        assert!(matches!(err, MarketError::InvalidParameter { .. }));
+        // The strict round must not clamp a NaN into a zero bid.
+        let mut agents: Vec<Box<dyn BiddingAgent>> = vec![
+            Box::new(NetGainAgent::new(
+                0,
+                QuadraticCost::new(1.0, 1.0),
+                Watts::new(125.0),
+            )),
+            Box::new(GarbageAgent),
+        ];
+        let err = collect_bids(&mut agents, Price::new(0.5), &mut Vec::new()).unwrap_err();
+        assert!(matches!(
+            err,
+            MarketError::InvalidParameter { name: "bid", .. }
+        ));
     }
 
     #[test]
     fn power_law_costs_converge() {
-        let agents: Vec<Box<dyn BiddingAgent>> = (0..5)
-            .map(|i| {
-                Box::new(NetGainAgent::new(
-                    i as u64,
-                    PowerLawCost::new(1.0 + i as f64, 2.2, 0.7),
-                    Watts::new(125.0),
-                )) as _
-            })
-            .collect();
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let out = m.clear(Watts::new(200.0)).unwrap();
-        assert!(out.clearing.met_target());
+        let inst = instance_of(
+            (0..5)
+                .map(|i| {
+                    Arc::new(PowerLawCost::new(1.0 + f64::from(i), 2.2, 0.7)) as Arc<dyn CostModel>
+                })
+                .collect(),
+        );
+        let c = strict(InteractiveConfig::default())
+            .clear(&inst, Watts::new(200.0))
+            .unwrap();
+        assert!(c.met_target());
     }
 }

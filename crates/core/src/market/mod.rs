@@ -1,12 +1,13 @@
-//! The two MPR market implementations and their shared outcome types.
+//! The user side of the MPR markets and the channels between the manager
+//! and its users. The clearing schemes themselves live in
+//! [`mechanism`](crate::mechanism).
 //!
-//! * [`static_market::StaticMarket`] — **MPR-STAT**: bids fixed at job
-//!   submission, one bisection solve per overload. Maximum agility.
-//! * [`interactive::InteractiveMarket`] — **MPR-INT**: iterative price/bid
-//!   exchange converging to the socially optimal allocation.
-//! * [`faults::ResilientInteractiveMarket`] — MPR-INT hardened against
-//!   unresponsive/crashing/stale/byzantine agents, with an explicit
-//!   MPR-INT → MPR-STAT → EQL degradation chain.
+//! * [`interactive`] — the bidding agents that answer MPR-INT's price
+//!   announcements, and the exchange's tuning.
+//! * [`faults`] — faulty-agent adapters (unresponsive, crashing, stale,
+//!   byzantine), the convergence watchdog and the degradation-chain
+//!   vocabulary of the resilient MPR-INT exchange.
+//! * [`payment`] — the idempotent payment log.
 //! * [`transport`] — the deadline-bounded asynchronous message layer
 //!   (PriceAnnounce/BidReply over [`transport::Transport`]) that MPR-INT
 //!   runs on in a distributed deployment.
@@ -14,160 +15,4 @@
 pub mod faults;
 pub mod interactive;
 pub mod payment;
-pub mod static_market;
 pub mod transport;
-
-use crate::participant::JobId;
-use crate::units::{Price, Watts};
-
-/// The resource reduction assigned to one job by a market clearing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Allocation {
-    /// The job being reduced.
-    pub id: JobId,
-    /// Resource reduction `δ_m(q')` in cores.
-    pub reduction: f64,
-    /// Power reduction in watts obtained from this job.
-    pub power_reduction: f64,
-    /// Clearing price the reward is paid at.
-    pub price: f64,
-}
-
-impl Allocation {
-    /// Reward rate `q'·δ_m` in core-hours per hour of capping.
-    #[must_use]
-    pub fn reward_rate(&self) -> f64 {
-        self.price * self.reduction
-    }
-}
-
-/// Outcome of clearing an MPR market.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct Clearing {
-    price: Price,
-    target: Watts,
-    allocations: Vec<Allocation>,
-    iterations: usize,
-}
-
-impl Clearing {
-    pub(crate) fn new(
-        price: Price,
-        target: Watts,
-        allocations: Vec<Allocation>,
-        iterations: usize,
-    ) -> Self {
-        Self {
-            price,
-            target,
-            allocations,
-            iterations,
-        }
-    }
-
-    /// The market clearing price `q'`, in core-hours per watt.
-    #[must_use]
-    pub fn price(&self) -> Price {
-        self.price
-    }
-
-    /// The power-reduction target this clearing was solved for.
-    #[must_use]
-    pub fn target_watts(&self) -> Watts {
-        self.target
-    }
-
-    /// Per-job reductions. Jobs supplying zero still appear with
-    /// `reduction == 0`.
-    #[must_use]
-    pub fn allocations(&self) -> &[Allocation] {
-        &self.allocations
-    }
-
-    /// Number of market iterations used (1 for MPR-STAT).
-    #[must_use]
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Total resource reduction across all jobs, in cores.
-    #[must_use]
-    pub fn total_reduction(&self) -> f64 {
-        self.allocations.iter().map(|a| a.reduction).sum()
-    }
-
-    /// Total power reduction across all jobs.
-    #[must_use]
-    pub fn total_power_reduction(&self) -> Watts {
-        self.allocations
-            .iter()
-            .map(|a| Watts::new(a.power_reduction))
-            .sum()
-    }
-
-    /// Total reward payoff rate `Σ q'·δ_m`, in core-hours per hour.
-    #[must_use]
-    pub fn total_reward_rate(&self) -> f64 {
-        self.allocations.iter().map(Allocation::reward_rate).sum()
-    }
-
-    /// Whether the clearing met its power-reduction target (within
-    /// numerical tolerance).
-    #[must_use]
-    pub fn met_target(&self) -> bool {
-        self.total_power_reduction().get() >= self.target.get() * (1.0 - 1e-6)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clearing_aggregates() {
-        let c = Clearing::new(
-            Price::new(0.5),
-            Watts::new(250.0),
-            vec![
-                Allocation {
-                    id: 0,
-                    reduction: 1.0,
-                    power_reduction: 125.0,
-                    price: 0.5,
-                },
-                Allocation {
-                    id: 1,
-                    reduction: 1.0,
-                    power_reduction: 125.0,
-                    price: 0.5,
-                },
-            ],
-            1,
-        );
-        assert_eq!(c.price(), Price::new(0.5));
-        assert_eq!(c.total_reduction(), 2.0);
-        assert_eq!(c.total_power_reduction(), Watts::new(250.0));
-        assert_eq!(c.total_reward_rate(), 1.0);
-        assert!(c.met_target());
-        assert_eq!(c.iterations(), 1);
-        assert_eq!(c.target_watts(), Watts::new(250.0));
-    }
-
-    #[test]
-    fn unmet_target_detected() {
-        let c = Clearing::new(
-            Price::new(0.5),
-            Watts::new(1000.0),
-            vec![Allocation {
-                id: 0,
-                reduction: 1.0,
-                power_reduction: 125.0,
-                price: 0.5,
-            }],
-            1,
-        );
-        assert!(!c.met_target());
-    }
-}

@@ -8,7 +8,7 @@
 //!
 //! * [`PerfectTransport`] — in-process, zero-latency, lossless. The
 //!   exchange over it is bit-for-bit identical to the synchronous
-//!   [`InteractiveMarket`](crate::market::interactive::InteractiveMarket).
+//!   [`InteractiveMechanism`](crate::mechanism::InteractiveMechanism).
 //! * [`SimNet`] — a FoundationDB-style deterministic network simulator in
 //!   **virtual time** (integer [`Tick`]s, never the wall clock): every
 //!   drop/delay/duplicate/reorder/partition fault is drawn from a seeded

@@ -26,9 +26,8 @@ pub struct FallbackChain<'a> {
 
 impl std::fmt::Debug for FallbackChain<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.stages.iter().map(|(_, m)| m.name()).collect();
         f.debug_struct("FallbackChain")
-            .field("stages", &names)
+            .field("stages", &self.stage_names())
             .finish()
     }
 }
@@ -45,6 +44,12 @@ impl<'a> FallbackChain<'a> {
     pub fn stage(mut self, level: ChainLevel, mechanism: impl Mechanism + 'a) -> Self {
         self.stages.push((level, Box::new(mechanism)));
         self
+    }
+
+    /// The stages' mechanism names, in order.
+    #[must_use]
+    pub fn stage_names(&self) -> Vec<&'static str> {
+        self.stages.iter().map(|(_, m)| m.name()).collect()
     }
 
     /// Number of stages in the chain.

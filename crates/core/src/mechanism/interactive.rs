@@ -1,12 +1,14 @@
 //! MPR-INT on the unified [`Mechanism`] interface.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::cost::CostModel;
 use crate::error::MarketError;
 use crate::market::interactive::{
-    is_oscillating, BiddingAgent, InteractiveConfig, InteractiveMarket, NetGainAgent,
+    collect_bids, is_oscillating, BiddingAgent, InteractiveConfig, NetGainAgent,
 };
+use crate::mclr;
+use crate::mechanism::exchange::tatonnement;
 use crate::mechanism::{Clearing, Diagnostics, InstanceView, Mechanism, MechanismError};
 use crate::units::{Price, Watts};
 
@@ -14,7 +16,11 @@ use crate::units::{Price, Watts};
 /// spun up from the instance's cost models and the iterative price/bid
 /// exchange runs to convergence.
 ///
-/// Rows without a cost model cannot bid and sit the clearing out.
+/// Rows without a cost model cannot bid and sit the clearing out. An agent
+/// error or a non-finite bid aborts the exchange with that
+/// [`MarketError`]. When the round cap fires, the last price is taken
+/// unless the price trace [is oscillating](is_oscillating), which is a
+/// [`MechanismError::NonConvergent`].
 ///
 /// * **strict** — propagates [`MarketError::Infeasible`] (the CLI's
 ///   behaviour).
@@ -50,19 +56,6 @@ impl InteractiveMechanism {
     #[must_use]
     pub fn config(&self) -> InteractiveConfig {
         self.config
-    }
-
-    fn agents(view: &InstanceView<'_>) -> Vec<Box<dyn BiddingAgent>> {
-        view.ids()
-            .iter()
-            .zip(view.costs())
-            .zip(view.watts_per_unit_slice())
-            .filter_map(|((id, cost), wpu)| {
-                let cost = cost.clone()?;
-                Some(Box::new(NetGainAgent::new(*id, cost, Watts::new(*wpu)))
-                    as Box<dyn BiddingAgent>)
-            })
-            .collect()
     }
 
     /// The capped fallback: every cost-bearing row reduces by its full
@@ -113,67 +106,101 @@ impl Mechanism for InteractiveMechanism {
         target: Watts,
     ) -> Result<Clearing, MechanismError> {
         view.ensure_clearable()?;
-        let agents = Self::agents(view);
+        let mut agents: Vec<NetGainAgent<Arc<dyn CostModel>>> = view
+            .ids()
+            .iter()
+            .zip(view.costs())
+            .zip(view.watts_per_unit_slice())
+            .filter_map(|((id, cost), wpu)| {
+                Some(NetGainAgent::new(*id, cost.clone()?, Watts::new(*wpu)))
+            })
+            .collect();
         if agents.is_empty() {
             return Err(MechanismError::Market(MarketError::NoParticipants));
         }
-        let mut market = InteractiveMarket::new(agents, self.config);
-        match market.clear(target) {
-            Ok(outcome) => {
-                // The round-cap safeguard takes the last announced price —
-                // sound when the trajectory stalled short of tolerance, but
-                // a bogus clearing when it is *cycling*. Surface the cycle
-                // as a typed error so a FallbackChain degrades to a static
-                // mechanism instead of shipping an arbitrary cycle point.
-                if !outcome.converged
-                    && is_oscillating(
-                        &outcome.price_trace,
-                        self.config.tolerance,
-                        self.config.oscillation_window,
-                    )
-                {
-                    return Err(MechanismError::NonConvergent {
-                        rounds: outcome.clearing.iterations(),
-                        last_price: outcome.clearing.price().get(),
-                    });
-                }
-                let by_id: BTreeMap<u64, f64> = outcome
-                    .clearing
-                    .allocations()
-                    .iter()
-                    .map(|a| (a.id, a.reduction))
-                    .collect();
-                let reductions: Vec<f64> = view
-                    .ids()
-                    .iter()
-                    .map(|id| by_id.get(id).copied().unwrap_or(0.0))
-                    .collect();
-                let diagnostics = Diagnostics {
-                    iterations: outcome.clearing.iterations(),
-                    converged: outcome.converged,
-                    accepted: outcome.converged,
-                    price_trace: outcome.price_trace,
-                    ..Diagnostics::default()
-                };
-                Ok(Clearing::build(
-                    view,
-                    target,
-                    outcome.clearing.price(),
-                    reductions,
-                    None,
-                    None,
-                    diagnostics,
-                ))
-            }
-            Err(e @ MarketError::Infeasible { .. }) => {
-                if self.strict {
-                    Err(MechanismError::Market(e))
-                } else {
-                    Ok(Self::capped(view, target))
-                }
-            }
-            Err(e) => Err(MechanismError::Market(e)),
+        let target_watts = target.get();
+        if target_watts <= 0.0 {
+            let diagnostics = Diagnostics {
+                iterations: 0,
+                price_trace: vec![0.0],
+                ..Diagnostics::default()
+            };
+            return Ok(Clearing::build(
+                view,
+                target,
+                Price::ZERO,
+                Vec::new(),
+                None,
+                None,
+                diagnostics,
+            ));
         }
+        // Feasibility does not depend on the bids.
+        let attainable: f64 = agents
+            .iter()
+            .map(|a| a.delta_max() * a.watts_per_unit())
+            .sum();
+        if attainable < target_watts * (1.0 - 1e-9) {
+            if self.strict {
+                return Err(MechanismError::Market(MarketError::Infeasible {
+                    target_watts,
+                    attainable_watts: attainable,
+                }));
+            }
+            return Ok(Self::capped(view, target));
+        }
+
+        let exchange = tatonnement(&self.config, None, target, |_, price, participants| {
+            collect_bids(&mut agents, price, participants)
+        })?;
+        // Final solve with the last bids: it replaces the damped
+        // announcement with a price that meets the target with them.
+        let price = mclr::clear_best_effort(&exchange.participants, target).price;
+        // The round-cap safeguard takes the last price — sound when the
+        // trajectory stalled short of tolerance, but a bogus clearing when
+        // it is *cycling*. Surface the cycle as a typed error so a
+        // FallbackChain degrades to a static mechanism instead of shipping
+        // an arbitrary cycle point.
+        if !exchange.converged
+            && is_oscillating(
+                &exchange.price_trace,
+                self.config.tolerance,
+                self.config.oscillation_window,
+            )
+        {
+            return Err(MechanismError::NonConvergent {
+                rounds: exchange.rounds,
+                last_price: price.get(),
+            });
+        }
+        // Supplies are in agent order, which is row order over the
+        // cost-bearing rows: map them back by position.
+        let mut supplies = exchange.participants.iter();
+        let reductions: Vec<f64> = view
+            .costs()
+            .iter()
+            .map(|cost| {
+                cost.as_ref()
+                    .and_then(|_| supplies.next())
+                    .map_or(0.0, |p| p.supply.supply(price))
+            })
+            .collect();
+        let diagnostics = Diagnostics {
+            iterations: exchange.rounds,
+            converged: exchange.converged,
+            accepted: exchange.converged,
+            price_trace: exchange.price_trace,
+            ..Diagnostics::default()
+        };
+        Ok(Clearing::build(
+            view,
+            target,
+            price,
+            reductions,
+            None,
+            None,
+            diagnostics,
+        ))
     }
 }
 
@@ -278,6 +305,30 @@ mod tests {
         let c = capped.clear(&slow, Watts::new(150.0)).unwrap();
         assert!(!c.diagnostics().converged);
         assert!(c.price() > Price::ZERO);
+    }
+
+    #[test]
+    fn duplicate_ids_clear_like_distinct_ids() {
+        // Instances may repeat an id; every row still gets the reduction
+        // it gets when the ids are distinct, so the reported total is what
+        // cleared.
+        let alphas = [1.0, 2.0, 4.0];
+        let distinct = instance(&alphas);
+        let shared: MarketInstance = alphas
+            .iter()
+            .zip([7u64, 7, 9])
+            .map(|(&a, id)| {
+                ParticipantSpec::new(id, 1.0, Watts::new(125.0))
+                    .with_cost(Arc::new(QuadraticCost::new(a, 1.0)))
+            })
+            .collect();
+        let mut mech = InteractiveMechanism::strict(InteractiveConfig::default());
+        let a = mech.clear(&distinct, Watts::new(150.0)).unwrap();
+        let b = mech.clear(&shared, Watts::new(150.0)).unwrap();
+        assert_eq!(b.ids(), &[7, 7, 9]);
+        assert_eq!(a.reductions(), b.reductions());
+        assert_eq!(a.total_power_reduction(), b.total_power_reduction());
+        assert!(b.met_target());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   [`InteractiveMechanism`] (MPR-INT), [`OptMechanism`], [`EqlMechanism`],
 //!   [`VcgMechanism`], [`TransportedInteractiveMechanism`] (MPR-INT over an
 //!   asynchronous deadline-bounded [`Transport`](crate::market::transport::Transport)),
-//!   and [`FallbackChain`] — the generic degradation chain
-//!   [`ResilientInteractiveMechanism`] → MPR-STAT → [`EqlCappingMechanism`]
-//!   that powers `crate::ResilientInteractiveMarket`.
+//!   and [`FallbackChain`] — the generic degradation chain, e.g.
+//!   [`ResilientInteractiveMechanism`] → MPR-STAT → [`EqlCappingMechanism`].
+//!   The three MPR-INT mechanisms share one tâtonnement round driver.
 //!
 //! The simulator, CLI, benches, and experiment binaries drive clearing
 //! exclusively through this API (`mpr-lint` rule L5 enforces the layering).
@@ -31,6 +31,7 @@
 mod auction;
 mod chain;
 mod equal;
+mod exchange;
 mod instance;
 mod interactive;
 mod optimal;
@@ -53,7 +54,6 @@ pub use view::{GroupId, InstanceView};
 use crate::error::MarketError;
 use crate::market::faults::{ChainLevel, Quarantine};
 use crate::market::transport::TransportDiagnostics;
-use crate::market::Allocation;
 use crate::participant::JobId;
 use crate::units::{CoreHours, Price, Watts};
 
@@ -465,37 +465,6 @@ impl Clearing {
     pub(crate) fn diagnostics_mut(&mut self) -> &mut Diagnostics {
         &mut self.diagnostics
     }
-
-    /// Converts the dense clearing into per-job [`Allocation`]s (the legacy
-    /// market outcome shape).
-    #[must_use]
-    pub fn to_allocations(&self) -> Vec<Allocation> {
-        self.ids
-            .iter()
-            .zip(&self.reductions)
-            .zip(&self.power_w)
-            .zip(&self.prices)
-            .map(|(((id, r), pw), p)| Allocation {
-                id: *id,
-                reduction: *r,
-                power_reduction: *pw,
-                price: *p,
-            })
-            .collect()
-    }
-
-    /// Converts into the legacy [`market::Clearing`](crate::market::Clearing)
-    /// shape, for analysis helpers that predate the mechanism layer (e.g.
-    /// [`analysis::evaluate`](crate::analysis::evaluate)).
-    #[must_use]
-    pub fn to_market_clearing(&self) -> crate::market::Clearing {
-        crate::market::Clearing::new(
-            self.price,
-            self.target,
-            self.to_allocations(),
-            self.diagnostics.iterations,
-        )
-    }
 }
 
 /// One clearing scheme over a borrowed [`InstanceView`] window of a
@@ -673,10 +642,10 @@ mod tests {
         );
         assert_eq!(c.reductions().len(), 2);
         assert_eq!(c.reductions()[1], 0.0);
-        let allocs = c.to_allocations();
-        assert_eq!(allocs.len(), 2);
-        assert_eq!(allocs[0].id, 0);
-        assert!((allocs[0].power_reduction - 125.0).abs() < 1e-12);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.ids(), &[0, 1]);
+        assert!((c.power_reduction(0).get() - 125.0).abs() < 1e-12);
+        assert_eq!(c.power_reductions_w().len(), 2);
     }
 
     #[test]

@@ -115,6 +115,7 @@ impl Mechanism for MclrMechanism {
 mod tests {
     use super::*;
     use crate::mechanism::{MarketInstance, ParticipantSpec};
+    use proptest::prelude::*;
 
     fn instance(bids: &[f64]) -> MarketInstance {
         bids.iter()
@@ -125,20 +126,62 @@ mod tests {
 
     #[test]
     fn matches_static_market_clearing() {
-        use crate::market::static_market::StaticMarket;
+        // MPR-STAT is one MClr solve over the standing bids; every row
+        // reduces by its supply at the clearing price.
         let inst = instance(&[0.2, 0.5, 0.1]);
         let mut mech = MclrMechanism::strict();
         let c = mech.clear(&inst, Watts::new(200.0)).unwrap();
 
-        let legacy = StaticMarket::new(MclrMechanism::participants(&inst.view()))
-            .clear(Watts::new(200.0))
-            .unwrap();
-        assert!((c.price().get() - legacy.price().get()).abs() < 1e-9);
-        for (mine, theirs) in c.reductions().iter().zip(legacy.allocations()) {
-            assert!((mine - theirs.reduction).abs() < 1e-9);
+        let participants = MclrMechanism::participants(&inst.view());
+        let sol = mclr::solve(&participants, Watts::new(200.0)).unwrap();
+        assert!((c.price().get() - sol.price.get()).abs() < 1e-9);
+        for (mine, p) in c.reductions().iter().zip(&participants) {
+            assert!((mine - p.supply.supply(sol.price)).abs() < 1e-9);
         }
         assert!(c.met_target());
         assert_eq!(c.residual(), Watts::ZERO);
+        assert_eq!(c.iterations(), 1);
+    }
+
+    #[test]
+    fn lower_bids_reduce_more() {
+        let c = MclrMechanism::strict()
+            .clear(&instance(&[0.1, 0.4]), Watts::new(100.0))
+            .unwrap();
+        assert!(c.reductions()[0] > c.reductions()[1]);
+    }
+
+    #[test]
+    fn zero_target_is_free() {
+        let c = MclrMechanism::strict()
+            .clear(&instance(&[0.2]), Watts::ZERO)
+            .unwrap();
+        assert_eq!(c.price(), crate::units::Price::ZERO);
+        assert_eq!(c.total_reduction(), 0.0);
+        assert!(c.met_target());
+    }
+
+    proptest! {
+        /// Every row respects its Δ and is paid the price times its
+        /// reduction.
+        #[test]
+        fn allocations_respect_delta_max(
+            jobs in proptest::collection::vec((0.1f64..3.0, 0.0f64..1.0), 1..30),
+            frac in 0.1f64..0.9,
+        ) {
+            let inst: MarketInstance = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, (d, b))| ParticipantSpec::new(i as u64, *d, Watts::new(125.0)).with_bid(*b))
+                .collect();
+            let attainable = inst.attainable_watts();
+            let c = MclrMechanism::strict().clear(&inst, attainable * frac).unwrap();
+            for (i, (r, (d, _))) in c.reductions().iter().zip(&jobs).enumerate() {
+                prop_assert!(*r >= 0.0);
+                prop_assert!(*r <= d + 1e-9);
+                prop_assert!((c.payment(i).get() - c.price().get() * r).abs() < 1e-9);
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! dropped. When the deadline expires the round clears with **last-known
 //! bids** (straggler policy), and an agent that misses
 //! [`TransportConfig::quarantine_after_misses`] consecutive rounds is
-//! quarantined exactly like a defaulting agent in the PR-1 resilient
-//! exchange. Over a [`PerfectTransport`](crate::market::transport::PerfectTransport)
+//! quarantined exactly like a defaulting agent in the resilient exchange.
+//! The rounds themselves are the shared [tâtonnement](super::exchange), so
+//! over a [`PerfectTransport`](crate::market::transport::PerfectTransport)
 //! the exchange is bit-for-bit identical to the synchronous
-//! [`InteractiveMarket`](crate::market::interactive::InteractiveMarket).
+//! [`InteractiveMechanism`](crate::mechanism::InteractiveMechanism).
 //!
 //! Like [`ResilientInteractiveMechanism`](crate::mechanism::ResilientInteractiveMechanism),
 //! this is a chain level 0: transport faults never become errors — a failed
@@ -22,16 +23,12 @@
 //! for the next [`FallbackChain`](crate::mechanism::FallbackChain) stage.
 
 use crate::error::MarketError;
-use crate::market::faults::{ConvergenceWatchdog, FaultRng, Quarantine, ResilientConfig};
+use crate::market::faults::{FaultRng, Quarantine, ResilientConfig};
 use crate::market::interactive::BiddingAgent;
 use crate::market::transport::{
     BidReply, PriceAnnounce, Tick, Transport, TransportConfig, TransportDiagnostics, TransportError,
 };
-use crate::mclr;
-use crate::mechanism::resilient::{
-    slots_instance, slots_observed_bids, slots_survivor_participants, slots_survivor_reductions,
-    AgentSlot,
-};
+use crate::mechanism::exchange::{AgentSlot, Collector, LiveExchange};
 use crate::mechanism::{
     Clearing, Diagnostics, InstanceView, MarketInstance, Mechanism, MechanismError,
 };
@@ -64,14 +61,13 @@ impl RoundState {
     }
 }
 
-/// The deadline-bounded interactive exchange over an abstract [`Transport`].
-///
-/// The mechanism owns its agents (quarantine and miss-streak state persist
-/// across clearings) and its channel (virtual time is monotone across
-/// clearings, so late replies from a previous clearing surface — and are
-/// discarded — deterministically).
-pub struct TransportedInteractiveMechanism<T: Transport> {
-    slots: Vec<AgentSlot>,
+/// Collects each round over a [`Transport`]: the channel, its virtual
+/// clock (monotone across clearings, so late replies from a previous
+/// clearing surface, and are discarded, deterministically) and the
+/// per-slot straggler state.
+struct Net<T> {
+    transport: T,
+    transport_config: TransportConfig,
     /// Consecutive missed rounds per slot (straggler → quarantine policy).
     miss_streak: Vec<usize>,
     /// Terminal endpoint crash observed for the slot, if any.
@@ -79,112 +75,46 @@ pub struct TransportedInteractiveMechanism<T: Transport> {
     /// Idempotency cache: the bid already computed for `(round)`, so
     /// retransmits and duplicate deliveries never re-invoke the agent.
     answered: Vec<Option<(usize, f64)>>,
-    config: ResilientConfig,
-    transport_config: TransportConfig,
-    transport: T,
-    /// The exchange's virtual clock, monotone over the mechanism's life.
     now: Tick,
     msg_seq: u64,
     jitter: FaultRng,
+    /// Counters of the clearing in progress.
+    diag: TransportDiagnostics,
+    started_at: Tick,
 }
 
-impl<T: Transport> std::fmt::Debug for TransportedInteractiveMechanism<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransportedInteractiveMechanism")
-            .field("agents", &self.slots.len())
-            .field("transport", &self.transport.name())
-            .field("config", &self.config)
-            .field("transport_config", &self.transport_config)
-            .finish()
-    }
-}
-
-impl<T: Transport> TransportedInteractiveMechanism<T> {
-    /// Creates an empty mechanism over `transport`.
-    #[must_use]
-    pub fn new(config: ResilientConfig, transport_config: TransportConfig, transport: T) -> Self {
-        Self {
-            slots: Vec::new(),
-            miss_streak: Vec::new(),
-            crashed: Vec::new(),
-            answered: Vec::new(),
-            config,
-            transport_config,
-            transport,
-            now: 0,
-            msg_seq: 0,
-            jitter: FaultRng::new(transport_config.jitter_seed),
-        }
+impl<T: Transport> Collector for Net<T> {
+    fn begin(&mut self, slots: usize) {
+        self.miss_streak.resize(slots, 0);
+        self.crashed.resize(slots, None);
+        // Fresh per-round bid caches for this clearing.
+        self.answered.clear();
+        self.answered.resize(slots, None);
+        self.diag = TransportDiagnostics::default();
+        self.started_at = self.now;
     }
 
-    /// Registers an agent endpoint together with its submission-time
-    /// cooperative bid (ignored unless finite and non-negative).
-    pub fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>) {
-        self.slots.push(AgentSlot::new(agent, fallback_bid));
-        self.miss_streak.push(0);
-        self.crashed.push(None);
-        self.answered.push(None);
-    }
-
-    /// Number of registered agents.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when no agents are registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The resilient (exchange) configuration in use.
-    #[must_use]
-    pub fn config(&self) -> ResilientConfig {
-        self.config
-    }
-
-    /// The deadline/retry/quarantine policy in use.
-    #[must_use]
-    pub fn transport_config(&self) -> TransportConfig {
-        self.transport_config
-    }
-
-    /// The underlying channel (for its counters).
-    #[must_use]
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Builds the [`MarketInstance`] matching the registered agents, in
-    /// registration order (bids are the registered fallback bids).
-    #[must_use]
-    pub fn instance(&self) -> MarketInstance {
-        slots_instance(&self.slots)
-    }
-
-    /// Runs one deadline-bounded collection round: broadcast, gather until
-    /// the deadline (retransmitting on the backoff schedule), then apply the
+    /// One deadline-bounded collection round: broadcast, gather until the
+    /// deadline (retransmitting on the backoff schedule), then apply the
     /// straggler/quarantine policy. Returns `false` when no live agents
     /// remain.
     #[allow(clippy::too_many_lines)]
-    fn run_round(
+    fn collect(
         &mut self,
+        slots: &mut [AgentSlot],
         round: usize,
         announced: Price,
         quarantined: &mut Vec<Quarantine>,
-        diag: &mut TransportDiagnostics,
     ) -> bool {
         let retry = self.transport_config.retry;
         let deadline = self
             .now
             .saturating_add(self.transport_config.deadline_ticks);
-        let mut rs: Vec<RoundState> = (0..self.slots.len()).map(|_| RoundState::idle()).collect();
+        let mut rs: Vec<RoundState> = (0..slots.len()).map(|_| RoundState::idle()).collect();
         let mut outstanding = 0usize;
 
         // Broadcast.
-        for (i, ((slot, st), crash)) in self
-            .slots
+        for (i, ((slot, st), crash)) in slots
             .iter()
             .zip(rs.iter_mut())
             .zip(self.crashed.iter())
@@ -205,7 +135,7 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
                 },
                 self.now,
             );
-            diag.announces += 1;
+            self.diag.announces += 1;
             st.live = true;
             st.pending = true;
             st.sent.push(id);
@@ -238,11 +168,10 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
             // Deliver everything due; endpoints answer from their
             // idempotency cache so an agent computes at most one bid per
             // round no matter how often the announcement arrives.
-            let slots = &mut self.slots;
             let answered = &mut self.answered;
             let crashed = &mut self.crashed;
-            let invalid = &mut diag.invalid_replies;
-            let errors = &mut diag.errors;
+            let invalid = &mut self.diag.invalid_replies;
+            let errors = &mut self.diag.errors;
             let replies = self.transport.advance(self.now, &mut |i, msg| {
                 let slot = slots.get_mut(i)?;
                 if let Some((r, bid)) = answered.get(i).copied().flatten() {
@@ -296,15 +225,15 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
                     {
                         st.pending = false;
                         outstanding -= 1;
-                        diag.replies_accepted += 1;
-                        if let Some(slot) = self.slots.get_mut(i) {
+                        self.diag.replies_accepted += 1;
+                        if let Some(slot) = slots.get_mut(i) {
                             slot.last_bid = Some(reply.bid);
                         }
                     }
                     Some(st) if !st.pending && st.live && reply.round == round => {
-                        diag.duplicates_ignored += 1;
+                        self.diag.duplicates_ignored += 1;
                     }
-                    _ => diag.late_replies_ignored += 1,
+                    _ => self.diag.late_replies_ignored += 1,
                 }
             }
             if outstanding == 0 || self.now >= deadline {
@@ -330,7 +259,7 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
                     self.now,
                 );
                 st.sent.push(id);
-                diag.retransmits += 1;
+                self.diag.retransmits += 1;
                 st.retry_at = self
                     .now
                     .saturating_add(retry.backoff(st.attempts, &mut self.jitter));
@@ -340,7 +269,7 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
         // Round close: straggler and quarantine policy.
         for (((st, slot), streak), crash) in rs
             .iter()
-            .zip(self.slots.iter_mut())
+            .zip(slots.iter_mut())
             .zip(self.miss_streak.iter_mut())
             .zip(self.crashed.iter())
         {
@@ -351,12 +280,13 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
                 *streak = 0;
                 continue;
             }
-            diag.straggler_rounds += 1;
+            self.diag.straggler_rounds += 1;
             *streak += 1;
             let id = slot.agent.job_id();
             if let Some(err) = crash {
                 slot.quarantined = true;
-                diag.errors
+                self.diag
+                    .errors
                     .push(TransportError::EndpointCrashed { agent: id, round });
                 quarantined.push(Quarantine {
                     id,
@@ -365,13 +295,13 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
                 });
             } else if *streak >= self.transport_config.quarantine_after_misses.max(1) {
                 slot.quarantined = true;
-                diag.deadline_quarantines += 1;
+                self.diag.deadline_quarantines += 1;
                 let terr = TransportError::DeadlineExpired {
                     agent: id,
                     round,
                     attempts: st.attempts,
                 };
-                diag.errors.push(terr.clone());
+                self.diag.errors.push(terr.clone());
                 quarantined.push(Quarantine {
                     id,
                     round,
@@ -380,6 +310,94 @@ impl<T: Transport> TransportedInteractiveMechanism<T> {
             }
         }
         true
+    }
+
+    fn finish(&mut self, rounds: usize, diagnostics: &mut Diagnostics) {
+        let mut diag = std::mem::take(&mut self.diag);
+        diag.rounds = rounds;
+        diag.virtual_ticks = self.now.saturating_sub(self.started_at);
+        diag.channel = self.transport.stats();
+        diagnostics.retries = diag.retransmits;
+        diagnostics.transport = Some(diag);
+    }
+}
+
+/// The deadline-bounded interactive exchange over an abstract [`Transport`].
+///
+/// The mechanism owns its agents (quarantine and miss-streak state persist
+/// across clearings) and its channel.
+pub struct TransportedInteractiveMechanism<T: Transport>(LiveExchange<Net<T>>);
+
+impl<T: Transport> std::fmt::Debug for TransportedInteractiveMechanism<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TransportedInteractiveMechanism")
+            .field("exchange", &self.0)
+            .field("transport", &self.0.collector.transport.name())
+            .field("transport_config", &self.0.collector.transport_config)
+            .finish()
+    }
+}
+
+impl<T: Transport> TransportedInteractiveMechanism<T> {
+    /// Creates an empty mechanism over `transport`.
+    #[must_use]
+    pub fn new(config: ResilientConfig, transport_config: TransportConfig, transport: T) -> Self {
+        let net = Net {
+            transport,
+            transport_config,
+            miss_streak: Vec::new(),
+            crashed: Vec::new(),
+            answered: Vec::new(),
+            now: 0,
+            msg_seq: 0,
+            jitter: FaultRng::new(transport_config.jitter_seed),
+            diag: TransportDiagnostics::default(),
+            started_at: 0,
+        };
+        Self(LiveExchange::new(config, net))
+    }
+
+    /// Registers an agent endpoint together with its submission-time
+    /// cooperative bid (ignored unless finite and non-negative).
+    pub fn register(&mut self, agent: Box<dyn BiddingAgent>, fallback_bid: Option<f64>) {
+        self.0.register(agent, fallback_bid);
+    }
+
+    /// Number of registered agents.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` when no agents are registered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.len() == 0
+    }
+
+    /// The resilient (exchange) configuration in use.
+    #[must_use]
+    pub fn config(&self) -> ResilientConfig {
+        self.0.config()
+    }
+
+    /// The deadline/retry/quarantine policy in use.
+    #[must_use]
+    pub fn transport_config(&self) -> TransportConfig {
+        self.0.collector.transport_config
+    }
+
+    /// The underlying channel (for its counters).
+    #[must_use]
+    pub fn transport(&self) -> &T {
+        &self.0.collector.transport
+    }
+
+    /// Builds the [`MarketInstance`] matching the registered agents, in
+    /// registration order (bids are the registered fallback bids).
+    #[must_use]
+    pub fn instance(&self) -> MarketInstance {
+        self.0.instance()
     }
 }
 
@@ -393,118 +411,11 @@ impl<T: Transport> Mechanism for TransportedInteractiveMechanism<T> {
         view: &InstanceView<'_>,
         target: Watts,
     ) -> Result<Clearing, MechanismError> {
-        if self.slots.is_empty() {
-            return Err(MechanismError::DegenerateInstance {
-                reason: "no agents are registered with the transported exchange",
-            });
-        }
-        // Row layout must match the registered agents; fall back to our own
-        // view when a caller hands us a foreign window.
-        let own;
-        let own_view;
-        let layout: &InstanceView<'_> = if view.len() == self.slots.len() {
-            view
-        } else {
-            own = self.instance();
-            own_view = own.view();
-            &own_view
-        };
-        let target_watts = target.get();
-        if target_watts <= 0.0 {
-            let diagnostics = Diagnostics {
-                iterations: 0,
-                price_trace: vec![0.0],
-                observed_bids: Some(slots_observed_bids(&self.slots)),
-                ..Diagnostics::default()
-            };
-            return Ok(Clearing::build(
-                layout,
-                Watts::new(target_watts.max(0.0)),
-                Price::ZERO,
-                vec![0.0; layout.len()],
-                None,
-                None,
-                diagnostics,
-            ));
-        }
-
-        let cfg = self.config;
-        let icfg = cfg.interactive;
-        let mut price = icfg.initial_price.max(1e-9);
-        let mut trace = vec![price];
-        let mut watchdog = ConvergenceWatchdog::new(cfg.watchdog_window, cfg.divergence_min_change);
-        let mut quarantined: Vec<Quarantine> = Vec::new();
-        let mut converged = false;
-        let mut diverged = false;
-        let mut rounds = 0usize;
-        let mut tdiag = TransportDiagnostics::default();
-        let started_at = self.now;
-        // Fresh per-round bid caches for this clearing.
-        for cache in &mut self.answered {
-            *cache = None;
-        }
-
-        'rounds: for round in 1..=icfg.max_iterations {
-            rounds = round;
-            if !self.run_round(round, Price::new(price), &mut quarantined, &mut tdiag) {
-                break 'rounds;
-            }
-            let participants = slots_survivor_participants(&self.slots);
-            if participants.is_empty() {
-                break 'rounds;
-            }
-            let sol = mclr::clear_best_effort(&participants, target);
-            let next = (1.0 - icfg.damping) * price + icfg.damping * sol.price.get();
-            let rel_change = (next - price).abs() / price.abs().max(1e-9);
-            price = next;
-            trace.push(price);
-            if rel_change <= icfg.tolerance {
-                converged = true;
-                break 'rounds;
-            }
-            if watchdog.observe(rel_change) {
-                diverged = true;
-                break 'rounds;
-            }
-        }
-
-        // Final solve: replace the damped announcement with the price that
-        // actually clears the surviving supplies.
-        let survivors = slots_survivor_participants(&self.slots);
-        let healthy = converged && !diverged && !survivors.is_empty();
-        let (clearing_price, reductions) = if healthy {
-            let sol = mclr::clear_best_effort(&survivors, target);
-            (sol.price, slots_survivor_reductions(&self.slots, sol.price))
-        } else {
-            // Nothing usable from the exchange; the chain's next stage
-            // re-clears from the observed bids.
-            (Price::ZERO, vec![0.0; self.slots.len()])
-        };
-
-        tdiag.rounds = rounds;
-        tdiag.virtual_ticks = self.now.saturating_sub(started_at);
-        tdiag.channel = self.transport.stats();
-        let diagnostics = Diagnostics {
-            iterations: rounds,
-            converged,
-            diverged,
-            retries: tdiag.retransmits,
-            quarantined,
-            price_trace: trace,
-            accepted: healthy,
-            observed_bids: Some(slots_observed_bids(&self.slots)),
-            transport: Some(tdiag),
-            ..Diagnostics::default()
-        };
-        Ok(Clearing::build(
-            layout,
+        self.0.clear_view(
+            view,
             target,
-            clearing_price,
-            reductions,
-            None,
-            None,
-            diagnostics,
-        ))
+            "no agents are registered with the transported exchange",
+        )
     }
 }
 
@@ -514,6 +425,7 @@ mod tests {
     use crate::cost::QuadraticCost;
     use crate::market::interactive::{InteractiveConfig, NetGainAgent};
     use crate::market::transport::{NetFaultConfig, PerfectTransport, SimNet, TransportStats};
+    use crate::mechanism::InteractiveMechanism;
 
     fn rational(id: u64, alpha: f64) -> NetGainAgent<QuadraticCost> {
         NetGainAgent::new(id, QuadraticCost::new(alpha, 1.0), Watts::new(125.0))
@@ -537,20 +449,25 @@ mod tests {
         let inst = net.instance();
         let c_net = net.clear(&inst, Watts::new(150.0)).unwrap();
 
-        let mut sync = crate::market::interactive::InteractiveMarket::new(
-            (0..3)
-                .map(|i| Box::new(rational(i as u64, [1.0, 2.0, 4.0][i])) as Box<dyn BiddingAgent>)
-                .collect(),
-            InteractiveConfig::default(),
-        );
-        let out = sync.clear(Watts::new(150.0)).unwrap();
+        let costed: MarketInstance = [1.0, 2.0, 4.0]
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                crate::mechanism::ParticipantSpec::new(i as u64, 1.0, Watts::new(125.0))
+                    .with_cost(std::sync::Arc::new(QuadraticCost::new(*a, 1.0)))
+            })
+            .collect();
+        let sync = InteractiveMechanism::strict(InteractiveConfig::default())
+            .clear(&costed, Watts::new(150.0))
+            .unwrap();
 
-        assert_eq!(c_net.price(), out.clearing.price());
-        assert_eq!(c_net.iterations(), out.clearing.iterations());
-        assert_eq!(c_net.diagnostics().price_trace, out.price_trace);
-        for (row, alloc) in c_net.reductions().iter().zip(out.clearing.allocations()) {
-            assert_eq!(*row, alloc.reduction, "reductions must be identical");
-        }
+        assert_eq!(c_net.price(), sync.price());
+        assert_eq!(c_net.iterations(), sync.iterations());
+        assert_eq!(
+            c_net.diagnostics().price_trace,
+            sync.diagnostics().price_trace
+        );
+        assert_eq!(c_net.reductions(), sync.reductions());
         let t = c_net.diagnostics().transport.as_ref().unwrap();
         assert_eq!(t.virtual_ticks, 0, "perfect transport never advances time");
         assert_eq!(t.retransmits, 0);

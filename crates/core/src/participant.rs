@@ -15,7 +15,6 @@ pub type JobId = u64;
 /// resource reduction is straightforward"); in the paper's power model it is
 /// simply the per-core dynamic power, 125 W.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Participant {
     /// The job this participant represents.
     pub id: JobId,

@@ -44,7 +44,6 @@ pub trait Supply {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SupplyFunction {
     delta_max: f64,
     bid: f64,
@@ -167,7 +166,6 @@ impl Supply for SupplyFunction {
 /// curve's diminishing-returns shape, so it under-prices shallow
 /// reductions of convex-cost users.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearSupply {
     delta_max: f64,
     beta: f64,

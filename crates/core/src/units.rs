@@ -25,7 +25,6 @@ macro_rules! unit {
     ($(#[$doc:meta])* $name:ident, $suffix:literal) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(f64);
 
         impl $name {

@@ -7,7 +7,7 @@
 //! CPU-frequency changes.
 
 use mpr_core::bidding::StaticStrategy;
-use mpr_core::{Participant, StaticMarket, Watts};
+use mpr_core::{MarketInstance, MclrMechanism, Mechanism, ParticipantSpec, Watts};
 use mpr_power::{EmergencyAction, EmergencyConfig, EmergencyController};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -167,26 +167,35 @@ impl Experiment {
                     EmergencyAction::Declare { .. } | EmergencyAction::Escalate { .. } => {
                         emergencies += 1;
                         let target = controller.active_target();
-                        let participants: Vec<Participant> = self
+                        let instance: MarketInstance = self
                             .apps
                             .iter()
                             .zip(&supplies)
                             .enumerate()
                             .filter_map(|(i, (a, s))| {
                                 s.map(|s| {
-                                    Participant::new(i as u64, s, Watts::new(a.watts_per_unit()))
+                                    ParticipantSpec::new(
+                                        i as u64,
+                                        s.delta_max(),
+                                        Watts::new(a.watts_per_unit()),
+                                    )
+                                    .with_bid(s.bid())
                                 })
                             })
                             .collect();
-                        let clearing = StaticMarket::new(participants).clear_best_effort(target);
-                        price = clearing.price().get();
+                        // An instance without bidders clears nothing.
+                        let clearing = MclrMechanism::best_effort().clear(&instance, target).ok();
+                        price = clearing.as_ref().map_or(0.0, |c| c.price().get());
                         let mut delivered = 0.0;
-                        for alloc in clearing.allocations() {
-                            let i = alloc.id as usize;
+                        let rows = clearing
+                            .iter()
+                            .flat_map(|c| c.ids().iter().zip(c.reductions()));
+                        for (&id, &reduction) in rows {
+                            let i = id as usize;
                             let Some(app) = self.apps.get(i) else {
                                 continue;
                             };
-                            let f = app.freq_for_reduction(alloc.reduction);
+                            let f = app.freq_for_reduction(reduction);
                             if let Some(fr) = freqs.get_mut(i) {
                                 *fr = f;
                             }

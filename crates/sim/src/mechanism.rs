@@ -3,18 +3,23 @@
 //!
 //! The engine never talks to a solver directly — every clearing goes
 //! through `Mechanism::clear` over a shared
-//! [`MarketInstance`](mpr_core::MarketInstance), and the choice of solver
+//! [`MarketInstance`], and the choice of solver
 //! is made here, in one place. The simulator always uses the best-effort
 //! variants: an infeasible reduction target must degrade (cap at `Δ_m`),
 //! never abort the run.
 
 use mpr_core::{
-    ChainLevel, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveConfig,
-    InteractiveMechanism, MclrMechanism, Mechanism, OptMechanism, OptMethod,
-    ResilientInteractiveMechanism, SimNet, TransportedInteractiveMechanism, VcgMechanism,
+    BiddingAgent, ChainLevel, EqlCappingMechanism, EqlMechanism, FallbackChain, InteractiveConfig,
+    InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism, OptMechanism, OptMethod,
+    ResilientConfig, ResilientInteractiveMechanism, SimNet, TransportedInteractiveMechanism,
+    VcgMechanism,
 };
 
 use crate::config::{Algorithm, FaultPlan, NetPlan, SimConfig};
+
+/// Stream separator for the virtual network's fault RNG, so channel faults
+/// never share draws with agent-fault assignment within an overload event.
+const NET_SEED_XOR: u64 = 0x6e65_745f_5eed_0bad;
 
 /// The engine's interactive-market tuning for a configuration.
 pub(crate) fn interactive_config(cfg: &SimConfig) -> InteractiveConfig {
@@ -26,9 +31,9 @@ pub(crate) fn interactive_config(cfg: &SimConfig) -> InteractiveConfig {
 
 /// The best-effort mechanism implementing the configured algorithm.
 ///
-/// MPR-INT under an active fault plan is not built here: the resilient
+/// MPR-INT under an active fault or net plan is not built here: its
 /// degradation chain needs live agents, which only the engine can provide
-/// per overload event (see [`degradation_chain`]).
+/// per overload event (see `exchange_chain`).
 #[must_use]
 pub fn for_algorithm(cfg: &SimConfig) -> Box<dyn Mechanism> {
     match cfg.algorithm {
@@ -40,44 +45,81 @@ pub fn for_algorithm(cfg: &SimConfig) -> Box<dyn Mechanism> {
     }
 }
 
-/// The MPR-INT → MPR-STAT → EQL-capping degradation chain over a level-0
-/// resilient exchange that already holds the (possibly faulty) agents.
-pub(crate) fn degradation_chain(level0: ResilientInteractiveMechanism) -> FallbackChain<'static> {
-    FallbackChain::new()
-        .stage(ChainLevel::Interactive, level0)
-        .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-        .stage(ChainLevel::EqlCapping, EqlCappingMechanism)
+/// Whether the configuration clears MPR-INT through the degradation chain
+/// of [`exchange_chain`]: an active agent-fault or net plan.
+pub(crate) fn clears_through_chain(cfg: &SimConfig) -> bool {
+    cfg.algorithm == Algorithm::MprInt
+        && (cfg.net_plan.is_some_and(|p| p.is_active())
+            || cfg.fault_plan.is_some_and(|p| p.is_active()))
 }
 
-/// The MPR-INT-over-lossy-network → MPR-STAT → EQL-capping degradation
-/// chain over a level-0 transported exchange that already holds the agents
-/// and the seeded virtual network.
-pub(crate) fn transported_chain(
-    level0: TransportedInteractiveMechanism<SimNet>,
-) -> FallbackChain<'static> {
-    FallbackChain::new()
-        .stage(ChainLevel::Interactive, level0)
-        .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
-        .stage(ChainLevel::EqlCapping, EqlCappingMechanism)
+/// The MPR-INT degradation chain of one overload event: a level-0 exchange
+/// holding `agents` (each with its registered cooperative bid), then
+/// MPR-STAT, then EQL capping. Level 0 runs over a lossy [`SimNet`] seeded
+/// from `event_seed` when a net plan is active (it composes an agent-fault
+/// plan: faulty agents behind a faulty channel), and synchronously with
+/// retries otherwise. Returns the instance matching the agents with the
+/// chain, or `None` when the configuration does not
+/// [clear through the chain](clears_through_chain).
+pub(crate) fn exchange_chain(
+    cfg: &SimConfig,
+    event_seed: u64,
+    agents: Vec<(Box<dyn BiddingAgent>, Option<f64>)>,
+) -> Option<(MarketInstance, FallbackChain<'static>)> {
+    fn chain(level0: impl Mechanism + 'static) -> FallbackChain<'static> {
+        FallbackChain::new()
+            .stage(ChainLevel::Interactive, level0)
+            .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
+            .stage(ChainLevel::EqlCapping, EqlCappingMechanism)
+    }
+    if !clears_through_chain(cfg) {
+        return None;
+    }
+    let config = ResilientConfig {
+        interactive: interactive_config(cfg),
+        ..cfg
+            .fault_plan
+            .filter(FaultPlan::is_active)
+            .map_or_else(ResilientConfig::default, |fp| ResilientConfig {
+                max_retries: fp.max_retries,
+                watchdog_window: fp.watchdog_window,
+                divergence_min_change: fp.divergence_min_change,
+                ..ResilientConfig::default()
+            })
+    };
+    Some(match cfg.net_plan.filter(NetPlan::is_active) {
+        Some(plan) => {
+            let net = SimNet::new(plan.fault_config(), event_seed ^ NET_SEED_XOR);
+            let mut level0 = TransportedInteractiveMechanism::new(
+                config,
+                plan.transport_config(event_seed),
+                net,
+            );
+            for (agent, bid) in agents {
+                level0.register(agent, bid);
+            }
+            (level0.instance(), chain(level0))
+        }
+        None => {
+            let mut level0 = ResilientInteractiveMechanism::new(config);
+            for (agent, bid) in agents {
+                level0.register(agent, bid);
+            }
+            (level0.instance(), chain(level0))
+        }
+    })
 }
 
 /// Human-readable descriptor of the clearing mechanism a configuration
-/// runs. Folded into the checkpoint fingerprint, so a checkpointed run can
-/// never be resumed under a different mechanism or chain shape.
+/// runs: the chain's stage names when it clears through
+/// `exchange_chain`, the mechanism's name otherwise. Folded into the
+/// checkpoint fingerprint, so a checkpointed run can never be resumed
+/// under a different mechanism or chain shape.
 #[must_use]
 pub fn descriptor(cfg: &SimConfig) -> String {
-    // A lossy network takes precedence: the engine composes an active fault
-    // plan *into* the transported chain, so the shape is MPR-INT-NET's.
-    if cfg.algorithm == Algorithm::MprInt && cfg.net_plan.filter(NetPlan::is_active).is_some() {
-        // Mirror the stages of `transported_chain` by mechanism name.
-        "chain(MPR-INT-NET,MPR-STAT,EQL-CAP)".to_owned()
-    } else if cfg.algorithm == Algorithm::MprInt
-        && cfg.fault_plan.filter(FaultPlan::is_active).is_some()
-    {
-        // Mirror the stages of `degradation_chain` by mechanism name.
-        "chain(MPR-INT-RESILIENT,MPR-STAT,EQL-CAP)".to_owned()
-    } else {
-        for_algorithm(cfg).name().to_owned()
+    match exchange_chain(cfg, 0, Vec::new()) {
+        Some((_, chain)) => format!("chain({})", chain.stage_names().join(",")),
+        None => for_algorithm(cfg).name().to_owned(),
     }
 }
 

@@ -5,9 +5,11 @@
 //! cargo run -p mpr-examples --bin interactive_market
 //! ```
 
+use std::sync::Arc;
+
 use mpr_core::{
-    opt, BiddingAgent, CostModel, InteractiveConfig, InteractiveMarket, NetGainAgent,
-    QuadraticCost, Watts,
+    opt, CostModel, InteractiveConfig, InteractiveMechanism, MarketInstance, Mechanism,
+    ParticipantSpec, QuadraticCost, Watts,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,25 +17,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // barely minds slowdowns, user 4 hates them.
     let alphas = [0.5, 1.0, 2.0, 4.0, 8.0];
     let costs: Vec<QuadraticCost> = alphas.iter().map(|&a| QuadraticCost::new(a, 4.0)).collect();
-    let agents: Vec<Box<dyn BiddingAgent>> = costs
+    // Each user's agent best-responds from the user's private cost model.
+    let instance: MarketInstance = costs
         .iter()
         .enumerate()
-        .map(|(i, c)| Box::new(NetGainAgent::new(i as u64, *c, Watts::new(125.0))) as _)
+        .map(|(i, c)| {
+            ParticipantSpec::new(i as u64, c.delta_max(), Watts::new(125.0)).with_cost(Arc::new(*c))
+        })
         .collect();
 
     let target = Watts::new(1200.0); // watts to shed
-    let mut market = InteractiveMarket::new(agents, InteractiveConfig::default());
-    let outcome = market.clear(target)?;
+    let clearing =
+        InteractiveMechanism::strict(InteractiveConfig::default()).clear(&instance, target)?;
 
     println!("price trajectory (manager → users → manager …):");
-    for (round, q) in outcome.price_trace.iter().enumerate() {
+    for (round, q) in clearing.diagnostics().price_trace.iter().enumerate() {
         println!("  round {round:>2}: q = {q:.4}");
     }
     println!(
         "converged = {}, final price {:.4}, {} iterations\n",
-        outcome.converged,
-        outcome.clearing.price().get(),
-        outcome.clearing.iterations()
+        clearing.diagnostics().converged,
+        clearing.price().get(),
+        clearing.iterations()
     );
 
     let opt_jobs: Vec<opt::OptJob<'_>> = costs
@@ -45,12 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("allocation (cores shed): market equilibrium vs centralized OPT");
     let mut market_cost = 0.0;
-    for (alloc, cost) in outcome.clearing.allocations().iter().zip(&costs) {
-        let opt_delta = optimal.reductions[alloc.id as usize].1;
-        market_cost += cost.cost(alloc.reduction);
+    for (i, (reduction, cost)) in clearing.reductions().iter().zip(&costs).enumerate() {
+        let opt_delta = optimal.reductions[i].1;
+        market_cost += cost.cost(*reduction);
         println!(
-            "  user {} (α = {:>3.1}): market {:>5.3}, OPT {:>5.3}",
-            alloc.id, alphas[alloc.id as usize], alloc.reduction, opt_delta
+            "  user {i} (α = {:>3.1}): market {reduction:>5.3}, OPT {opt_delta:>5.3}",
+            alphas[i]
         );
     }
     println!(

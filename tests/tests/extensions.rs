@@ -115,8 +115,8 @@ fn scheduler_to_simulation_pipeline() {
 #[test]
 fn vcg_agrees_with_interactive_market() {
     use mpr_core::{
-        opt, vcg, BiddingAgent, CostModel, InteractiveConfig, InteractiveMarket, NetGainAgent,
-        QuadraticCost,
+        opt, vcg, CostModel, InteractiveConfig, InteractiveMechanism, MarketInstance, Mechanism,
+        ParticipantSpec, QuadraticCost,
     };
     let costs: Vec<QuadraticCost> = [1.0, 2.0, 3.0, 5.0]
         .iter()
@@ -130,20 +130,24 @@ fn vcg_agrees_with_interactive_market() {
         .collect();
     let auction = vcg::auction(&opt_jobs, target, opt::OptMethod::Auto).unwrap();
 
-    let agents: Vec<Box<dyn BiddingAgent>> = costs
+    let instance: MarketInstance = costs
         .iter()
         .enumerate()
-        .map(|(i, c)| Box::new(NetGainAgent::new(i as u64, *c, Watts::new(125.0))) as _)
+        .map(|(i, c)| {
+            ParticipantSpec::new(i as u64, c.delta_max(), Watts::new(125.0))
+                .with_cost(std::sync::Arc::new(*c))
+        })
         .collect();
-    let mut market = InteractiveMarket::new(agents, InteractiveConfig::default());
-    let outcome = market.clear(target).unwrap();
+    let clearing = InteractiveMechanism::strict(InteractiveConfig::default())
+        .clear(&instance, target)
+        .unwrap();
 
-    for (award, alloc) in auction.awards.iter().zip(outcome.clearing.allocations()) {
+    for (award, reduction) in auction.awards.iter().zip(clearing.reductions()) {
         assert!(
-            (award.reduction - alloc.reduction).abs() < 0.05,
+            (award.reduction - reduction).abs() < 0.05,
             "VCG {} vs market {} for job {}",
             award.reduction,
-            alloc.reduction,
+            reduction,
             award.id
         );
         assert!(award.payment >= costs[award.id as usize].cost(award.reduction) - 1e-9);

@@ -4,8 +4,9 @@
 
 use mpr_core::bidding::cooperative_bid;
 use mpr_core::{
-    BiddingAgent, ByzantineAgent, ChainLevel, CrashAgent, InteractiveConfig, NetGainAgent,
-    QuadraticCost, ResilientConfig, ResilientInteractiveMarket, UnresponsiveAgent, Watts,
+    BiddingAgent, ByzantineAgent, ChainLevel, Clearing, CrashAgent, EqlCappingMechanism,
+    FallbackChain, InteractiveConfig, MclrMechanism, Mechanism, NetGainAgent, QuadraticCost,
+    ResilientConfig, ResilientInteractiveMechanism, UnresponsiveAgent, Watts,
 };
 use mpr_sim::{Algorithm, FaultPlan, SimConfig, Simulation};
 use mpr_tests::test_trace;
@@ -16,10 +17,31 @@ fn quadratic(id: u64, alpha: f64) -> NetGainAgent<QuadraticCost> {
     NetGainAgent::new(id, QuadraticCost::new(alpha, 1.0), Watts::new(WPU))
 }
 
+/// Clears a resilient exchange through the MPR-INT → MPR-STAT → EQL chain.
+fn clear(level0: ResilientInteractiveMechanism, target: Watts) -> Clearing {
+    let instance = level0.instance();
+    FallbackChain::new()
+        .stage(ChainLevel::Interactive, level0)
+        .stage(ChainLevel::StaticFallback, MclrMechanism::best_effort())
+        .stage(ChainLevel::EqlCapping, EqlCappingMechanism)
+        .clear(&instance, target)
+        .expect("the chain always answers a non-empty market")
+}
+
+fn level(c: &Clearing) -> ChainLevel {
+    c.diagnostics()
+        .chain_level
+        .expect("a chain records its level")
+}
+
+fn quarantined_ids(c: &Clearing) -> Vec<u64> {
+    c.diagnostics().quarantined.iter().map(|q| q.id).collect()
+}
+
 /// Builds the canonical faulty cohort: 20 agents, 30 % unresponsive from
 /// the first round, 10 % crashing after their first answer.
-fn faulty_cohort() -> ResilientInteractiveMarket {
-    let mut market = ResilientInteractiveMarket::new(ResilientConfig::default());
+fn faulty_cohort() -> ResilientInteractiveMechanism {
+    let mut market = ResilientInteractiveMechanism::new(ResilientConfig::default());
     for id in 0..20u64 {
         let alpha = 0.5 + 0.1 * id as f64;
         let cost = QuadraticCost::new(alpha, 1.0);
@@ -40,18 +62,17 @@ fn faulty_cohort() -> ResilientInteractiveMarket {
 /// outcome reports who was quarantined and which level cleared.
 #[test]
 fn chain_meets_target_with_30pct_unresponsive_10pct_crashing() {
-    let mut market = faulty_cohort();
     // 900 W is comfortably attainable over the 12 healthy survivors
     // (12 × Δ × WPU = 1500 W).
-    let outcome = market.clear(Watts::new(900.0)).expect("chain clears");
+    let outcome = clear(faulty_cohort(), Watts::new(900.0));
     assert!(
-        outcome.clearing.met_target(),
+        outcome.met_target(),
         "chain must meet the target: delivered {:.1} of 900 W at level {}",
-        outcome.clearing.total_power_reduction(),
-        outcome.chain_level
+        outcome.total_power_reduction(),
+        level(&outcome)
     );
     // All six unresponsive and both crashing agents end up quarantined.
-    let quarantined = outcome.quarantined_ids();
+    let quarantined = quarantined_ids(&outcome);
     assert_eq!(quarantined.len(), 8, "quarantined: {quarantined:?}");
     for id in 0..=7u64 {
         assert!(
@@ -60,23 +81,19 @@ fn chain_meets_target_with_30pct_unresponsive_10pct_crashing() {
         );
     }
     // The report names the level that produced the final clearing.
-    assert!(outcome.chain_level >= ChainLevel::Interactive);
-    assert_eq!(outcome.residual_watts, 0.0);
+    assert!(level(&outcome) >= ChainLevel::Interactive);
+    assert_eq!(outcome.residual(), Watts::ZERO);
 }
 
 /// Deterministic replay: two identical faulty clearings agree exactly.
 #[test]
 fn faulty_clearing_is_deterministic() {
-    let a = faulty_cohort()
-        .clear(Watts::new(900.0))
-        .expect("chain clears");
-    let b = faulty_cohort()
-        .clear(Watts::new(900.0))
-        .expect("chain clears");
-    assert_eq!(a.clearing.price(), b.clearing.price());
-    assert_eq!(a.chain_level, b.chain_level);
-    assert_eq!(a.quarantined_ids(), b.quarantined_ids());
-    assert_eq!(a.retries, b.retries);
+    let a = clear(faulty_cohort(), Watts::new(900.0));
+    let b = clear(faulty_cohort(), Watts::new(900.0));
+    assert_eq!(a.price(), b.price());
+    assert_eq!(level(&a), level(&b));
+    assert_eq!(quarantined_ids(&a), quarantined_ids(&b));
+    assert_eq!(a.diagnostics().retries, b.diagnostics().retries);
 }
 
 /// An oscillating byzantine cohort trips the convergence watchdog and the
@@ -91,7 +108,7 @@ fn byzantine_oscillation_falls_back_within_round_budget() {
         },
         ..ResilientConfig::default()
     };
-    let mut market = ResilientInteractiveMarket::new(config);
+    let mut market = ResilientInteractiveMechanism::new(config);
     for id in 0..10u64 {
         let cost = QuadraticCost::new(1.0, 1.0);
         let fallback = cooperative_bid(&cost).ok();
@@ -103,29 +120,29 @@ fn byzantine_oscillation_falls_back_within_round_budget() {
         };
         market.register(agent, fallback);
     }
-    let outcome = market.clear(Watts::new(600.0)).expect("chain clears");
-    assert!(outcome.diverged, "watchdog should flag divergence");
+    let outcome = clear(market, Watts::new(600.0));
     assert!(
-        outcome.clearing.iterations() < 200,
-        "fallback must trigger before the round budget ({} rounds used)",
-        outcome.clearing.iterations()
+        outcome.diagnostics().diverged,
+        "watchdog should flag divergence"
     );
-    assert!(outcome.is_degraded());
-    assert!(outcome.clearing.met_target());
+    assert!(
+        outcome.iterations() < 200,
+        "fallback must trigger before the round budget ({} rounds used)",
+        outcome.iterations()
+    );
+    assert!(level(&outcome) > ChainLevel::Interactive);
+    assert!(outcome.met_target());
 }
 
 /// Beyond what any participant set can deliver, the terminal EQL level
 /// caps uniformly and reports the residual instead of erroring.
 #[test]
 fn infeasible_target_reaches_eql_with_residual() {
-    let mut market = faulty_cohort();
     // Total attainable even with every agent cooperating is 2500 W.
-    let outcome = market
-        .clear(Watts::new(5000.0))
-        .expect("chain always answers");
-    assert_eq!(outcome.chain_level, ChainLevel::EqlCapping);
-    assert!(outcome.residual_watts > 0.0);
-    assert!(outcome.clearing.total_power_reduction() > Watts::ZERO);
+    let outcome = clear(faulty_cohort(), Watts::new(5000.0));
+    assert_eq!(level(&outcome), ChainLevel::EqlCapping);
+    assert!(outcome.residual() > Watts::ZERO);
+    assert!(outcome.total_power_reduction() > Watts::ZERO);
 }
 
 /// Full-simulator run of the acceptance scenario: faults injected at every

@@ -120,23 +120,25 @@ fn eql_breaks_on_fragile_gpu_apps() {
 #[test]
 fn static_market_clears_30k_jobs_subsecond() {
     use mpr_core::bidding::StaticStrategy;
-    use mpr_core::{Participant, ScaledCost, StaticMarket};
+    use mpr_core::{MarketInstance, MclrMechanism, Mechanism, ParticipantSpec, ScaledCost};
     let profiles = mpr_apps::cpu_profiles();
-    let participants: Vec<Participant> = (0..30_000u64)
+    let instance: MarketInstance = (0..30_000u64)
         .map(|i| {
             let p = &profiles[(i as usize) % profiles.len()];
             let cost = ScaledCost::new(p.cost_model(1.0), 8.0);
-            Participant::new(
+            let supply = StaticStrategy::Cooperative.supply_for(&cost).unwrap();
+            ParticipantSpec::new(
                 i,
-                StaticStrategy::Cooperative.supply_for(&cost).unwrap(),
+                supply.delta_max(),
                 mpr_core::Watts::new(p.unit_dynamic_power_w()),
             )
+            .with_bid(supply.bid())
         })
         .collect();
-    let attainable: mpr_core::Watts = participants.iter().map(Participant::max_power).sum();
-    let market = StaticMarket::new(participants);
+    let attainable = instance.attainable_watts();
+    let mut market = MclrMechanism::strict();
     let t0 = std::time::Instant::now();
-    let clearing = market.clear(attainable * 0.4).unwrap();
+    let clearing = market.clear(&instance, attainable * 0.4).unwrap();
     let elapsed = t0.elapsed();
     assert!(clearing.met_target());
     assert!(
@@ -148,28 +150,31 @@ fn static_market_clears_30k_jobs_subsecond() {
 /// Fig. 10(b): MPR-INT's iteration count stays flat as jobs scale 10× twice.
 #[test]
 fn interactive_iterations_flat_in_scale() {
-    use mpr_core::{BiddingAgent, InteractiveConfig, InteractiveMarket, NetGainAgent, ScaledCost};
+    use mpr_core::{
+        CostModel, InteractiveConfig, InteractiveMechanism, MarketInstance, Mechanism,
+        ParticipantSpec, ScaledCost,
+    };
     let profiles = mpr_apps::cpu_profiles();
     let mut iters = Vec::new();
     for n in [10usize, 100, 1000] {
-        let agents: Vec<Box<dyn BiddingAgent>> = (0..n)
+        let instance: MarketInstance = (0..n)
             .map(|i| {
                 let p = &profiles[i % profiles.len()];
-                Box::new(NetGainAgent::new(
+                let cost = ScaledCost::new(p.cost_model(1.0), 8.0);
+                ParticipantSpec::new(
                     i as u64,
-                    ScaledCost::new(p.cost_model(1.0), 8.0),
+                    cost.delta_max(),
                     mpr_core::Watts::new(p.unit_dynamic_power_w()),
-                )) as _
+                )
+                .with_cost(std::sync::Arc::new(cost))
             })
             .collect();
-        let attainable: f64 = agents
-            .iter()
-            .map(|a| a.delta_max() * a.watts_per_unit())
-            .sum();
-        let mut m = InteractiveMarket::new(agents, InteractiveConfig::default());
-        let out = m.clear(mpr_core::Watts::new(0.3 * attainable)).unwrap();
-        assert!(out.converged);
-        iters.push(out.clearing.iterations());
+        let attainable = instance.attainable_watts();
+        let c = InteractiveMechanism::strict(InteractiveConfig::default())
+            .clear(&instance, attainable * 0.3)
+            .unwrap();
+        assert!(c.diagnostics().converged);
+        iters.push(c.iterations());
     }
     let spread = *iters.iter().max().unwrap() as f64 / *iters.iter().min().unwrap() as f64;
     assert!(spread < 2.5, "iterations not flat: {iters:?}");

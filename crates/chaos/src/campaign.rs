@@ -16,11 +16,11 @@ use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
+use mpr_core::codec::{self, ObjWriter, Value};
 use mpr_sim::Simulation;
 use mpr_workload::{ClusterSpec, Trace, TraceGenerator};
 use rayon::prelude::*;
 
-use crate::json::{self, ObjWriter, Value};
 use crate::oracle::{self, Violation};
 use crate::scenario::Scenario;
 use crate::shrink;
@@ -281,7 +281,7 @@ impl CampaignReport {
 fn str_array(items: &[&str]) -> String {
     let quoted: Vec<String> = items
         .iter()
-        .map(|s| format!("\"{}\"", json::escape(s)))
+        .map(|s| format!("\"{}\"", codec::escape(s)))
         .collect();
     format!("[{}]", quoted.join(", "))
 }
@@ -497,39 +497,33 @@ pub struct ReplayOutcome {
 ///
 /// # Errors
 ///
-/// Returns a [`json::ParseError`] for malformed artifacts, missing
+/// Returns a [`codec::ParseError`] for malformed artifacts, missing
 /// fields, or a generator-space version mismatch (an artifact from
 /// another space version describes a different scenario distribution and
 /// must not be silently replayed).
-pub fn parse_artifact(text: &str) -> Result<ReplayPlan, json::ParseError> {
-    let v = json::parse(text)?;
-    let obj = v.as_obj().ok_or_else(|| json::ParseError {
-        at: 0,
-        message: "artifact is not an object".to_owned(),
-    })?;
-    let space = json::field_num(obj, "space_version")?;
+pub fn parse_artifact(text: &str) -> Result<ReplayPlan, codec::ParseError> {
+    let v = codec::parse(text)?;
+    let obj = v
+        .as_obj()
+        .ok_or_else(|| codec::ParseError::schema("artifact is not an object"))?;
+    let space = codec::field_num(obj, "space_version")?;
     if (space - f64::from(SPACE_VERSION)).abs() > 0.0 {
-        return Err(json::ParseError {
-            at: 0,
-            message: format!(
-                "artifact was produced by generator space v{space} but this \
-                 binary implements v{SPACE_VERSION}"
-            ),
-        });
+        return Err(codec::ParseError::schema(format!(
+            "artifact was produced by generator space v{space} but this \
+             binary implements v{SPACE_VERSION}"
+        )));
     }
-    let scenario = Scenario::from_json_value(json::field(obj, "scenario")?)?;
-    let oracle_name = json::field(obj, "oracle")?.as_str().map(str::to_owned);
+    let scenario = Scenario::from_json_value(codec::field(obj, "scenario")?)?;
+    let oracle_name = codec::field(obj, "oracle")?.as_str().map(str::to_owned);
     let message = match obj.get("message") {
         Some(Value::Str(s)) => s.clone(),
         _ => String::new(),
     };
     Ok(ReplayPlan {
         scenario,
-        days: json::field_num(obj, "days")?,
-        oracle: oracle_name.ok_or_else(|| json::ParseError {
-            at: 0,
-            message: "field `oracle` is not a string".to_owned(),
-        })?,
+        days: codec::field_num(obj, "days")?,
+        oracle: oracle_name
+            .ok_or_else(|| codec::ParseError::schema("field `oracle` is not a string"))?,
         message,
     })
 }
@@ -723,6 +717,17 @@ mod tests {
                        "shrink_steps": [], "scenario": {}, "repro_command": ""}"#;
         let err = parse_artifact(text).expect_err("must reject");
         assert!(err.message.contains("generator space"), "{err:?}");
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        let scenario = Scenario::generate(3, 0).to_json(1);
+        let text = format!(
+            r#"{{"space_version": {SPACE_VERSION}, "days": 1, "days": 2,
+                 "oracle": "power-cap", "scenario": {scenario}}}"#
+        );
+        let err = parse_artifact(&text).expect_err("must reject");
+        assert_eq!(err.message, "duplicate object key", "{err:?}");
     }
 
     #[test]

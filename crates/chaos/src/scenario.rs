@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 
+use mpr_core::codec::{self, ObjWriter, Value};
 use mpr_core::Watts;
 use mpr_power::telemetry::SensorFaultConfig;
 use mpr_power::{GridFaultPlan, LevelKind, NodeSpec, TopologySpec};
@@ -36,7 +37,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::json::{self, ObjWriter, Value};
 use crate::{SCENARIO_SEED_XOR, SPACE_VERSION};
 
 /// The shrinker's oversubscription resting point: the paper's baseline
@@ -707,27 +707,21 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns a [`json::ParseError`] naming the missing or mistyped field.
-    pub fn from_json_value(v: &Value) -> Result<Scenario, json::ParseError> {
-        let obj = v.as_obj().ok_or_else(|| json::ParseError {
-            at: 0,
-            message: "scenario is not an object".to_owned(),
-        })?;
-        let algorithm = match json::field(obj, "algorithm")?.as_str() {
+    /// Returns a [`codec::ParseError`] naming the missing or mistyped field.
+    pub fn from_json_value(v: &Value) -> Result<Scenario, codec::ParseError> {
+        let obj = v
+            .as_obj()
+            .ok_or_else(|| codec::ParseError::schema("scenario is not an object"))?;
+        let algorithm = match codec::field(obj, "algorithm")?.as_str() {
             Some("OPT") => Algorithm::Opt,
             Some("EQL") => Algorithm::Eql,
             Some("MPR-STAT") => Algorithm::MprStat,
             Some("MPR-INT") => Algorithm::MprInt,
             Some("VCG") => Algorithm::Vcg,
-            _ => {
-                return Err(json::ParseError {
-                    at: 0,
-                    message: "unknown algorithm".to_owned(),
-                })
-            }
+            _ => return Err(codec::ParseError::schema("unknown algorithm")),
         };
-        let cost_noise_value = json::field_num(obj, "cost_noise_value")?;
-        let cost_noise = match json::field(obj, "cost_noise")?.as_str() {
+        let cost_noise_value = codec::field_num(obj, "cost_noise_value")?;
+        let cost_noise = match codec::field(obj, "cost_noise")?.as_str() {
             Some("none") => CostNoise::None,
             Some("random") => CostNoise::Random {
                 magnitude: cost_noise_value,
@@ -735,39 +729,34 @@ impl Scenario {
             Some("underestimate") => CostNoise::Underestimate {
                 fraction: cost_noise_value,
             },
-            _ => {
-                return Err(json::ParseError {
-                    at: 0,
-                    message: "unknown cost_noise kind".to_owned(),
-                })
-            }
+            _ => return Err(codec::ParseError::schema("unknown cost_noise kind")),
         };
-        let fault_plan = match json::field(obj, "fault_plan")? {
+        let fault_plan = match codec::field(obj, "fault_plan")? {
             Value::Null => None,
             v => {
                 let f = obj_of(v, "fault_plan")?;
                 Some(FaultPlan {
-                    unresponsive_frac: json::field_num(f, "unresponsive_frac")?,
-                    crash_frac: json::field_num(f, "crash_frac")?,
-                    stale_frac: json::field_num(f, "stale_frac")?,
-                    byzantine_frac: json::field_num(f, "byzantine_frac")?,
-                    byzantine_factor: json::field_num(f, "byzantine_factor")?,
+                    unresponsive_frac: codec::field_num(f, "unresponsive_frac")?,
+                    crash_frac: codec::field_num(f, "crash_frac")?,
+                    stale_frac: codec::field_num(f, "stale_frac")?,
+                    byzantine_frac: codec::field_num(f, "byzantine_frac")?,
+                    byzantine_factor: codec::field_num(f, "byzantine_factor")?,
                     max_retries: usize_field(f, "max_retries")?,
                     watchdog_window: usize_field(f, "watchdog_window")?,
-                    divergence_min_change: json::field_num(f, "divergence_min_change")?,
+                    divergence_min_change: codec::field_num(f, "divergence_min_change")?,
                 })
             }
         };
-        let net_plan = match json::field(obj, "net_plan")? {
+        let net_plan = match codec::field(obj, "net_plan")? {
             Value::Null => None,
             v => {
                 let f = obj_of(v, "net_plan")?;
                 Some(NetPlan {
-                    drop_prob: json::field_num(f, "drop_prob")?,
-                    duplicate_prob: json::field_num(f, "duplicate_prob")?,
+                    drop_prob: codec::field_num(f, "drop_prob")?,
+                    duplicate_prob: codec::field_num(f, "duplicate_prob")?,
                     min_delay_ticks: u64_field(f, "min_delay_ticks")?,
                     max_delay_ticks: u64_field(f, "max_delay_ticks")?,
-                    partition_prob: json::field_num(f, "partition_prob")?,
+                    partition_prob: codec::field_num(f, "partition_prob")?,
                     partition_ticks: u64_field(f, "partition_ticks")?,
                     deadline_ticks: u64_field(f, "deadline_ticks")?,
                     max_attempts: usize_field(f, "max_attempts")?,
@@ -775,37 +764,37 @@ impl Scenario {
                 })
             }
         };
-        let sensor = match json::field(obj, "sensor")? {
+        let sensor = match codec::field(obj, "sensor")? {
             Value::Null => None,
             v => {
                 let f = obj_of(v, "sensor")?;
                 Some(SensorFaultConfig {
-                    noise_sigma_frac: json::field_num(f, "noise_sigma_frac")?,
-                    dropout_prob: json::field_num(f, "dropout_prob")?,
-                    stuck_prob: json::field_num(f, "stuck_prob")?,
+                    noise_sigma_frac: codec::field_num(f, "noise_sigma_frac")?,
+                    dropout_prob: codec::field_num(f, "dropout_prob")?,
+                    stuck_prob: codec::field_num(f, "stuck_prob")?,
                     stuck_polls: u32_field(f, "stuck_polls")?,
                     delay_polls: usize_field(f, "delay_polls")?,
-                    spike_prob: json::field_num(f, "spike_prob")?,
-                    spike_magnitude_frac: json::field_num(f, "spike_magnitude_frac")?,
+                    spike_prob: codec::field_num(f, "spike_prob")?,
+                    spike_magnitude_frac: codec::field_num(f, "spike_magnitude_frac")?,
                 })
             }
         };
-        let disk_plan = match json::field(obj, "disk_plan")? {
+        let disk_plan = match codec::field(obj, "disk_plan")? {
             Value::Null => None,
             v => {
                 let f = obj_of(v, "disk_plan")?;
                 Some(DiskPlan {
-                    torn_write_prob: json::field_num(f, "torn_write_prob")?,
-                    bit_flip_prob: json::field_num(f, "bit_flip_prob")?,
-                    fsync_fail_prob: json::field_num(f, "fsync_fail_prob")?,
-                    capacity_bytes: match json::field(f, "capacity_bytes")? {
+                    torn_write_prob: codec::field_num(f, "torn_write_prob")?,
+                    bit_flip_prob: codec::field_num(f, "bit_flip_prob")?,
+                    fsync_fail_prob: codec::field_num(f, "fsync_fail_prob")?,
+                    capacity_bytes: match codec::field(f, "capacity_bytes")? {
                         Value::Null => None,
                         _ => Some(u64_field(f, "capacity_bytes")?),
                     },
                 })
             }
         };
-        let topology = match json::field(obj, "topology")? {
+        let topology = match codec::field(obj, "topology")? {
             Value::Null => None,
             v => {
                 let f = obj_of(v, "topology")?;
@@ -813,92 +802,82 @@ impl Scenario {
                     ups_count: usize_field(f, "ups_count")?,
                     pdus_per_ups: usize_field(f, "pdus_per_ups")?,
                     racks_per_pdu: usize_field(f, "racks_per_pdu")?,
-                    inner_headroom: json::field_num(f, "inner_headroom")?,
+                    inner_headroom: codec::field_num(f, "inner_headroom")?,
                 };
                 if draw.total_racks() == 0 {
-                    return Err(json::ParseError {
-                        at: 0,
-                        message: "topology fan-out must be positive at every level".to_owned(),
-                    });
+                    return Err(codec::ParseError::schema(
+                        "topology fan-out must be positive at every level",
+                    ));
                 }
                 Some(draw)
             }
         };
-        let grid_fault = match json::field(obj, "grid_fault")? {
+        let grid_fault = match codec::field(obj, "grid_fault")? {
             Value::Null => None,
             v => {
                 let f = obj_of(v, "grid_fault")?;
                 let plan = GridFaultPlan {
-                    seed: json::field_u64(f, "seed")?,
-                    ups_failure_prob: json::field_num(f, "ups_failure_prob")?,
-                    ats_derate_prob: json::field_num(f, "ats_derate_prob")?,
-                    ats_derate_frac: json::field_num(f, "ats_derate_frac")?,
-                    pdu_trip_prob: json::field_num(f, "pdu_trip_prob")?,
-                    derate_prob: json::field_num(f, "derate_prob")?,
-                    derate_floor: json::field_num(f, "derate_floor")?,
-                    onset_secs: json::field_num(f, "onset_secs")?,
-                    window_secs: json::field_num(f, "window_secs")?,
-                    repair_secs: json::field_num(f, "repair_secs")?,
+                    seed: codec::field_u64(f, "seed")?,
+                    ups_failure_prob: codec::field_num(f, "ups_failure_prob")?,
+                    ats_derate_prob: codec::field_num(f, "ats_derate_prob")?,
+                    ats_derate_frac: codec::field_num(f, "ats_derate_frac")?,
+                    pdu_trip_prob: codec::field_num(f, "pdu_trip_prob")?,
+                    derate_prob: codec::field_num(f, "derate_prob")?,
+                    derate_floor: codec::field_num(f, "derate_floor")?,
+                    onset_secs: codec::field_num(f, "onset_secs")?,
+                    window_secs: codec::field_num(f, "window_secs")?,
+                    repair_secs: codec::field_num(f, "repair_secs")?,
                 };
                 if topology.is_none() {
-                    return Err(json::ParseError {
-                        at: 0,
-                        message: "grid_fault requires a topology".to_owned(),
-                    });
+                    return Err(codec::ParseError::schema("grid_fault requires a topology"));
                 }
                 Some(plan)
             }
         };
         Ok(Scenario {
             algorithm,
-            oversub_pct: json::field_num(obj, "oversub_pct")?,
-            sim_seed: json::field_u64(obj, "sim_seed")?,
-            participation: json::field_num(obj, "participation")?,
-            alpha_spread: json::field_num(obj, "alpha_spread")?,
+            oversub_pct: codec::field_num(obj, "oversub_pct")?,
+            sim_seed: codec::field_u64(obj, "sim_seed")?,
+            participation: codec::field_num(obj, "participation")?,
+            alpha_spread: codec::field_num(obj, "alpha_spread")?,
             cost_noise,
-            phase_amplitude: json::field_num(obj, "phase_amplitude")?,
+            phase_amplitude: codec::field_num(obj, "phase_amplitude")?,
             fault_plan,
             net_plan,
             sensor,
             disk_plan,
-            kill_at_frac: json::field_num(obj, "kill_at_frac")?,
+            kill_at_frac: codec::field_num(obj, "kill_at_frac")?,
             topology,
             grid_fault,
-            wal_fsync_never: json::field_bool(obj, "wal_fsync_never")?,
-            emergency_disabled: json::field_bool(obj, "emergency_disabled")?,
-            grid_unfenced: json::field_bool(obj, "grid_unfenced")?,
+            wal_fsync_never: codec::field_bool(obj, "wal_fsync_never")?,
+            emergency_disabled: codec::field_bool(obj, "emergency_disabled")?,
+            grid_unfenced: codec::field_bool(obj, "grid_unfenced")?,
         })
     }
 }
 
-fn obj_of<'a>(v: &'a Value, name: &str) -> Result<&'a BTreeMap<String, Value>, json::ParseError> {
-    v.as_obj().ok_or_else(|| json::ParseError {
-        at: 0,
-        message: format!("field `{name}` is not an object"),
-    })
+fn obj_of<'a>(v: &'a Value, name: &str) -> Result<&'a BTreeMap<String, Value>, codec::ParseError> {
+    v.as_obj()
+        .ok_or_else(|| codec::ParseError::schema(format!("field `{name}` is not an object")))
 }
 
-fn usize_field(obj: &BTreeMap<String, Value>, key: &str) -> Result<usize, json::ParseError> {
-    let n = json::field_num(obj, key)?;
+fn usize_field(obj: &BTreeMap<String, Value>, key: &str) -> Result<usize, codec::ParseError> {
+    let n = codec::field_num(obj, key)?;
     if n < 0.0 || n.fract().abs() > 0.0 {
-        return Err(json::ParseError {
-            at: 0,
-            message: format!("field `{key}` is not a non-negative integer"),
-        });
+        return Err(codec::ParseError::schema(format!(
+            "field `{key}` is not a non-negative integer"
+        )));
     }
     Ok(n as usize)
 }
 
-fn u64_field(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, json::ParseError> {
+fn u64_field(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, codec::ParseError> {
     usize_field(obj, key).map(|v| v as u64)
 }
 
-fn u32_field(obj: &BTreeMap<String, Value>, key: &str) -> Result<u32, json::ParseError> {
+fn u32_field(obj: &BTreeMap<String, Value>, key: &str) -> Result<u32, codec::ParseError> {
     let v = usize_field(obj, key)?;
-    u32::try_from(v).map_err(|_| json::ParseError {
-        at: 0,
-        message: format!("field `{key}` overflows u32"),
-    })
+    u32::try_from(v).map_err(|_| codec::ParseError::schema(format!("field `{key}` overflows u32")))
 }
 
 #[cfg(test)]
@@ -1015,7 +994,7 @@ mod tests {
             }
             let text = s.to_json(0);
             let back =
-                Scenario::from_json_value(&json::parse(&text).expect("parses")).expect("decodes");
+                Scenario::from_json_value(&codec::parse(&text).expect("parses")).expect("decodes");
             assert_eq!(back, s, "round-trip mismatch at index {i}\n{text}");
         }
     }

@@ -6,6 +6,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use mpr_core::bidding::StaticStrategy;
+use mpr_core::codec;
 use mpr_core::{
     ChainLevel, CoreHours, Cores, CostModel, EqlCappingMechanism, EqlMechanism, FallbackChain,
     InteractiveConfig, InteractiveMechanism, MarketInstance, MclrMechanism, Mechanism,
@@ -370,20 +371,6 @@ pub fn simulate(
     Ok(())
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Runs `mpr ledger`: offline inspection and repair of a WAL image written
 /// by `mpr simulate --wal` (or recovered from a crashed manager).
 ///
@@ -415,7 +402,7 @@ pub fn ledger(args: &LedgerArgs, out: &mut dyn Write) -> Result<(), Box<dyn std:
                         "    {{\"seq\": {}, \"kind\": {}, \"event\": \"{}\"}}{}",
                         rec.seq,
                         rec.kind,
-                        json_escape(&event),
+                        codec::escape(&event),
                         if i + 1 < report.records.len() {
                             ","
                         } else {
@@ -431,7 +418,7 @@ pub fn ledger(args: &LedgerArgs, out: &mut dyn Write) -> Result<(), Box<dyn std:
                     "  \"corruption\": {}",
                     report.corruption.as_ref().map_or_else(
                         || "null".to_owned(),
-                        |c| format!("\"{}\"", json_escape(&c.to_string()))
+                        |c| format!("\"{}\"", codec::escape(&c.to_string()))
                     )
                 )?;
                 writeln!(out, "}}")?;
@@ -476,13 +463,13 @@ pub fn ledger(args: &LedgerArgs, out: &mut dyn Write) -> Result<(), Box<dyn std:
                     out,
                     "{{\"path\": \"{}\", \"ok\": {ok}, \"records\": {}, \
                      \"valid_len\": {}, \"truncated_bytes\": {}, \"corruption\": {}}}",
-                    json_escape(&args.path),
+                    codec::escape(&args.path),
                     report.records.len(),
                     report.valid_len,
                     report.truncated_bytes,
                     report.corruption.as_ref().map_or_else(
                         || "null".to_owned(),
-                        |c| format!("\"{}\"", json_escape(&c.to_string()))
+                        |c| format!("\"{}\"", codec::escape(&c.to_string()))
                     ),
                 )?;
             } else {

@@ -66,9 +66,11 @@
 
 pub mod analysis;
 pub mod bidding;
+pub mod codec;
 pub mod cost;
 pub mod eql;
 pub mod error;
+mod json;
 pub mod market;
 pub mod mclr;
 pub mod mechanism;

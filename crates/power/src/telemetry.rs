@@ -74,7 +74,7 @@ impl SplitMix64 {
 }
 
 /// One delivered power sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SensorReading {
     /// Measurement timestamp, seconds. Under delivery delay this is older
     /// than the sampling instant.

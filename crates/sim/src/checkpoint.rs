@@ -33,6 +33,7 @@ use std::collections::VecDeque;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use mpr_core::codec::{fnv1a, Dec, DecodeError, Enc, Wire};
 use mpr_core::{ChainLevel, Watts};
 use mpr_power::telemetry::{
     EstimatorConfig, FaultySensor, RobustEstimator, SensorFaultConfig, SensorReading, SplitMix64,
@@ -45,8 +46,8 @@ use rand_chacha::ChaCha8Rng;
 use crate::config::CostNoise;
 use crate::engine::{Accounting, ActiveJob, EngineState, RunSetup, Simulation, TelemetryState};
 use crate::report::{
-    DegradationStats, EmergencyEvent, EmergencyEventKind, ProfileStats, SimReport, Timeline,
-    TransportTotals,
+    DegradationStats, EmergencyEvent, EmergencyEventKind, FederatedLevelStats, FederatedStats,
+    ProfileStats, SimReport, Timeline, TransportTotals,
 };
 
 const MAGIC: [u8; 8] = *b"MPRCKPT\0";
@@ -119,6 +120,15 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => CheckpointError::Truncated,
+            DecodeError::Malformed(what) => CheckpointError::Malformed(what),
+        }
+    }
+}
+
 /// Where and how often to checkpoint, plus an optional injected kill
 /// point for crash testing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,149 +196,6 @@ impl RunOutcome {
             RunOutcome::Completed(r) => Some(r),
             RunOutcome::Killed { .. } => None,
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a and the little-endian codec.
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-    fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-    fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.usize(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-}
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(CheckpointError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| CheckpointError::Truncated)
-    }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-    fn u128(&mut self) -> Result<u128, CheckpointError> {
-        Ok(u128::from_le_bytes(self.array()?))
-    }
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
-        usize::try_from(self.u64()?).map_err(|_| CheckpointError::Malformed("count overflow"))
-    }
-    /// A length that is about to drive an allocation: bounded by the
-    /// remaining payload so corrupt counts cannot trigger huge allocs.
-    fn len(&mut self) -> Result<usize, CheckpointError> {
-        let n = self.usize()?;
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(n)
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bool(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed("invalid bool tag")),
-        }
-    }
-    fn string(&mut self) -> Result<String, CheckpointError> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| CheckpointError::Malformed("invalid UTF-8 string"))
-    }
-    fn opt_f64(&mut self) -> Result<Option<f64>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            _ => Err(CheckpointError::Malformed("invalid option tag")),
-        }
-    }
-    fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
     }
 }
 
@@ -422,8 +289,9 @@ pub(crate) fn fingerprint(sim: &Simulation<'_>) -> u64 {
     match cfg.telemetry {
         Some(t) => {
             e.u8(1);
-            enc_sensor_config(&mut e, &t.sensor);
-            enc_estimator_config(&mut e, &t.estimator);
+            let (mut sensor, mut estimator) = (t.sensor, t.estimator);
+            let Ok(()) = sensor_config_fields(&mut e, &mut sensor);
+            let Ok(()) = estimator_config_fields(&mut e, &mut estimator);
         }
         None => e.u8(0),
     }
@@ -524,45 +392,368 @@ pub(crate) fn fingerprint(sim: &Simulation<'_>) -> u64 {
         e.f64(j.runtime_secs);
         e.u64(u64::from(j.cores));
     }
-    fnv1a64(&e.buf)
-}
-
-fn enc_sensor_config(e: &mut Enc, c: &SensorFaultConfig) {
-    e.f64(c.noise_sigma_frac);
-    e.f64(c.dropout_prob);
-    e.f64(c.stuck_prob);
-    e.u32(c.stuck_polls);
-    e.usize(c.delay_polls);
-    e.f64(c.spike_prob);
-    e.f64(c.spike_magnitude_frac);
-}
-
-fn enc_estimator_config(e: &mut Enc, c: &EstimatorConfig) {
-    e.usize(c.window);
-    e.f64(c.ewma_alpha);
-    e.f64(c.outlier_frac);
-    e.usize(c.outlier_streak);
-    e.f64(c.stale_after_secs);
-    e.f64(c.margin_frac);
-    e.f64(c.stale_margin_frac);
+    fnv1a(e.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
-// State encode/decode.
+// Record layouts: each plain-data record's field list, written once and
+// shared by encode (`Enc`) and decode (`Dec`, starting from the record's
+// `Default`). Each list starts with an exhaustive destructure, so a field
+// added to a record fails to compile until its list names it.
 
-fn enc_reading(e: &mut Enc, r: &SensorReading) {
-    e.f64(r.t_secs);
-    e.f64(r.power.get());
+fn accounting_fields<W: Wire>(w: &mut W, a: &mut Accounting) -> Result<(), W::Error> {
+    let Accounting {
+        overload_slots,
+        overload_events,
+        unmet_emergencies,
+        jobs_started,
+        jobs_completed,
+        jobs_affected,
+        jobs_deferred,
+        reduction_ch,
+        cost_ch,
+        reward_ch,
+        int_iterations,
+        degradation,
+        fault_events,
+        transport,
+        stretch_sum_pct,
+        stretch_count,
+        per_profile,
+        per_profile_stretch,
+        federated,
+    } = a;
+    w.usize(overload_slots)?;
+    w.usize(overload_events)?;
+    w.usize(unmet_emergencies)?;
+    w.usize(jobs_started)?;
+    w.usize(jobs_completed)?;
+    w.usize(jobs_affected)?;
+    w.usize(jobs_deferred)?;
+    w.usize(int_iterations)?;
+    w.usize(fault_events)?;
+    w.usize(stretch_count)?;
+    w.f64(reduction_ch)?;
+    w.f64(cost_ch)?;
+    w.f64(reward_ch)?;
+    w.f64(stretch_sum_pct)?;
+    degradation_fields(w, degradation)?;
+    transport_fields(w, transport)?;
+    w.map(per_profile, profile_fields)?;
+    w.map(per_profile_stretch, |w, (sum, count)| {
+        w.f64(sum)?;
+        w.usize(count)
+    })?;
+    federated_fields(w, federated)
 }
 
-fn dec_reading(d: &mut Dec<'_>) -> Result<SensorReading, CheckpointError> {
-    Ok(SensorReading {
-        t_secs: d.f64()?,
-        power: Watts::new(d.f64()?),
-    })
+/// Decode order of the chain-level tag byte; the inverse of [`level_tag`].
+const CHAIN_LEVELS: [Option<ChainLevel>; 4] = [
+    None,
+    Some(ChainLevel::Interactive),
+    Some(ChainLevel::StaticFallback),
+    Some(ChainLevel::EqlCapping),
+];
+
+fn level_tag(level: Option<ChainLevel>) -> u8 {
+    match level {
+        None => 0,
+        Some(ChainLevel::Interactive) => 1,
+        Some(ChainLevel::StaticFallback) => 2,
+        Some(ChainLevel::EqlCapping) => 3,
+    }
 }
 
-pub(crate) fn encode_state(state: &EngineState) -> Vec<u8> {
+fn degradation_fields<W: Wire>(w: &mut W, d: &mut DegradationStats) -> Result<(), W::Error> {
+    let DegradationStats {
+        rounds_retried,
+        participants_quarantined,
+        static_fallbacks,
+        eql_cappings,
+        diverged_clearings,
+        deepest_chain_level,
+        residual_overload_watts,
+        bid_failures,
+    } = d;
+    w.usize(rounds_retried)?;
+    w.usize(participants_quarantined)?;
+    w.usize(static_fallbacks)?;
+    w.usize(eql_cappings)?;
+    w.usize(diverged_clearings)?;
+    w.usize(bid_failures)?;
+    w.f64(residual_overload_watts)?;
+    w.tag(
+        deepest_chain_level,
+        level_tag,
+        &CHAIN_LEVELS,
+        "invalid chain level",
+    )
+}
+
+fn transport_fields<W: Wire>(w: &mut W, t: &mut TransportTotals) -> Result<(), W::Error> {
+    let TransportTotals {
+        clearings,
+        rounds,
+        announces,
+        retransmits,
+        replies_accepted,
+        duplicates_ignored,
+        late_replies_ignored,
+        invalid_replies,
+        straggler_rounds,
+        deadline_quarantines,
+        virtual_ticks,
+        messages_dropped,
+        messages_duplicated,
+    } = t;
+    w.usize(clearings)?;
+    w.usize(rounds)?;
+    w.usize(announces)?;
+    w.usize(retransmits)?;
+    w.usize(replies_accepted)?;
+    w.usize(duplicates_ignored)?;
+    w.usize(late_replies_ignored)?;
+    w.usize(invalid_replies)?;
+    w.usize(straggler_rounds)?;
+    w.usize(deadline_quarantines)?;
+    w.u64(virtual_ticks)?;
+    w.usize(messages_dropped)?;
+    w.usize(messages_duplicated)
+}
+
+fn profile_fields<W: Wire>(w: &mut W, p: &mut ProfileStats) -> Result<(), W::Error> {
+    let ProfileStats {
+        reduction_core_hours,
+        cost_core_hours,
+        runtime_stretch_pct,
+        jobs,
+    } = p;
+    w.f64(reduction_core_hours)?;
+    w.f64(cost_core_hours)?;
+    w.f64(runtime_stretch_pct)?;
+    w.usize(jobs)
+}
+
+fn federated_fields<W: Wire>(w: &mut W, f: &mut FederatedStats) -> Result<(), W::Error> {
+    let FederatedStats {
+        events,
+        markets,
+        rounds,
+        residual_watts,
+        infeasible_events,
+        grid_fault_slots,
+        fenced_nodes,
+        derated_nodes,
+        reassigned_jobs,
+        quarantined_jobs,
+        dead_cleared_watts,
+        derate_excess_watts,
+        post_repair_events,
+        levels,
+    } = f;
+    w.usize(events)?;
+    w.usize(markets)?;
+    w.usize(rounds)?;
+    w.usize(infeasible_events)?;
+    w.f64(residual_watts)?;
+    w.usize(grid_fault_slots)?;
+    w.usize(fenced_nodes)?;
+    w.usize(derated_nodes)?;
+    w.usize(reassigned_jobs)?;
+    w.usize(quarantined_jobs)?;
+    w.f64(dead_cleared_watts)?;
+    w.f64(derate_excess_watts)?;
+    w.usize(post_repair_events)?;
+    w.map(levels, level_fields)
+}
+
+fn level_fields<W: Wire>(w: &mut W, l: &mut FederatedLevelStats) -> Result<(), W::Error> {
+    let FederatedLevelStats {
+        depth,
+        markets,
+        target_watts,
+        cleared_watts,
+        residual_watts,
+        escalations,
+    } = l;
+    w.usize(depth)?;
+    w.usize(markets)?;
+    w.f64(target_watts)?;
+    w.f64(cleared_watts)?;
+    w.f64(residual_watts)?;
+    w.usize(escalations)
+}
+
+fn timeline_fields<W: Wire>(w: &mut W, t: &mut Timeline) -> Result<(), W::Error> {
+    let Timeline {
+        slot_secs,
+        power_w,
+        demand_w,
+        capacity_w,
+        reduction_w,
+        price,
+    } = t;
+    w.f64(slot_secs)?;
+    w.list(power_w, W::f64)?;
+    w.list(demand_w, W::f64)?;
+    w.list(capacity_w, W::f64)?;
+    w.list(reduction_w, W::f64)?;
+    w.list(price, W::f64)
+}
+
+/// Decode order of the event-kind tag byte; the inverse of [`kind_tag`].
+const EVENT_KINDS: [EmergencyEventKind; 3] = [
+    EmergencyEventKind::Declare,
+    EmergencyEventKind::Escalate,
+    EmergencyEventKind::Lift,
+];
+
+fn kind_tag(kind: EmergencyEventKind) -> u8 {
+    match kind {
+        EmergencyEventKind::Declare => 0,
+        EmergencyEventKind::Escalate => 1,
+        EmergencyEventKind::Lift => 2,
+    }
+}
+
+fn event_fields<W: Wire>(w: &mut W, e: &mut EmergencyEvent) -> Result<(), W::Error> {
+    let EmergencyEvent {
+        t_secs,
+        kind,
+        target_watts,
+        price,
+    } = e;
+    w.f64(t_secs)?;
+    w.tag(kind, kind_tag, &EVENT_KINDS, "invalid event kind")?;
+    w.f64(target_watts)?;
+    w.f64(price)
+}
+
+fn health_fields<W: Wire>(w: &mut W, h: &mut TelemetryHealth) -> Result<(), W::Error> {
+    let TelemetryHealth {
+        samples_delivered,
+        samples_missed,
+        outliers_rejected,
+        stale_polls,
+    } = h;
+    w.usize(samples_delivered)?;
+    w.usize(samples_missed)?;
+    w.usize(outliers_rejected)?;
+    w.usize(stale_polls)
+}
+
+fn sensor_config_fields<W: Wire>(w: &mut W, c: &mut SensorFaultConfig) -> Result<(), W::Error> {
+    let SensorFaultConfig {
+        noise_sigma_frac,
+        dropout_prob,
+        stuck_prob,
+        stuck_polls,
+        delay_polls,
+        spike_prob,
+        spike_magnitude_frac,
+    } = c;
+    w.f64(noise_sigma_frac)?;
+    w.f64(dropout_prob)?;
+    w.f64(stuck_prob)?;
+    w.u32(stuck_polls)?;
+    w.usize(delay_polls)?;
+    w.f64(spike_prob)?;
+    w.f64(spike_magnitude_frac)
+}
+
+fn estimator_config_fields<W: Wire>(w: &mut W, c: &mut EstimatorConfig) -> Result<(), W::Error> {
+    let EstimatorConfig {
+        window,
+        ewma_alpha,
+        outlier_frac,
+        outlier_streak,
+        stale_after_secs,
+        margin_frac,
+        stale_margin_frac,
+    } = c;
+    w.usize(window)?;
+    w.f64(ewma_alpha)?;
+    w.f64(outlier_frac)?;
+    w.usize(outlier_streak)?;
+    w.f64(stale_after_secs)?;
+    w.f64(margin_frac)?;
+    w.f64(stale_margin_frac)
+}
+
+fn reading_fields<W: Wire>(w: &mut W, r: &mut SensorReading) -> Result<(), W::Error> {
+    let SensorReading { t_secs, power } = r;
+    w.f64(t_secs)?;
+    let mut watts = power.get();
+    w.f64(&mut watts)?;
+    *power = Watts::new(watts);
+    Ok(())
+}
+
+/// A deque goes on the wire as a list of its items.
+fn deque_fields<W: Wire, T: Default>(
+    w: &mut W,
+    deque: &mut VecDeque<T>,
+    item: impl FnMut(&mut W, &mut T) -> Result<(), W::Error>,
+) -> Result<(), W::Error> {
+    let mut items = Vec::from(std::mem::take(deque));
+    w.list(&mut items, item)?;
+    *deque = items.into();
+    Ok(())
+}
+
+fn telemetry_fields<W: Wire>(w: &mut W, tel: &mut TelemetryState) -> Result<(), W::Error> {
+    let TelemetryState { sensor, estimator } = tel;
+    let FaultySensor {
+        config,
+        rng: SplitMix64 { state },
+        delay_buf,
+        stuck_remaining,
+        held,
+    } = sensor;
+    sensor_config_fields(w, config)?;
+    w.u64(state)?;
+    deque_fields(w, delay_buf, reading_fields)?;
+    w.u32(stuck_remaining)?;
+    w.option(held, "invalid held tag", reading_fields)?;
+    let RobustEstimator {
+        config,
+        window,
+        ewma,
+        reject_streak,
+        last_reading_secs,
+        health,
+    } = estimator;
+    estimator_config_fields(w, config)?;
+    deque_fields(w, window, W::f64)?;
+    w.option(ewma, "invalid option tag", W::f64)?;
+    w.usize(reject_streak)?;
+    w.option(last_reading_secs, "invalid option tag", W::f64)?;
+    health_fields(w, health)
+}
+
+/// Every state section after the deferred queue, in payload order:
+/// accounting, the optional timeline, the emergency event log and the
+/// optional telemetry pipeline.
+fn tail_fields<W: Wire>(
+    w: &mut W,
+    acc: &mut Accounting,
+    timeline: &mut Option<Timeline>,
+    events: &mut Vec<EmergencyEvent>,
+    telemetry: &mut Option<TelemetryState>,
+) -> Result<(), W::Error> {
+    accounting_fields(w, acc)?;
+    w.option(timeline, "invalid timeline tag", timeline_fields)?;
+    w.list(events, event_fields)?;
+    w.option(telemetry, "invalid telemetry tag", telemetry_fields)
+}
+
+// ---------------------------------------------------------------------------
+// State encode/decode: the fixed sections, then the shared record layouts.
+
+/// Encodes the engine state. The record layouts are shared with
+/// [`decode_state`], so encoding borrows the state mutably; it leaves it
+/// unchanged.
+pub(crate) fn encode_state(state: &mut EngineState) -> Vec<u8> {
     let mut e = Enc::default();
     e.usize(state.step);
     e.usize(state.total_slots);
@@ -570,7 +761,7 @@ pub(crate) fn encode_state(state: &EngineState) -> Vec<u8> {
     e.bool(state.finished);
 
     // Job-stream RNG: exact stream position.
-    e.buf.extend_from_slice(&state.rng.get_seed());
+    e.raw(&state.rng.get_seed());
     e.u64(state.rng.get_stream());
     e.u128(state.rng.get_word_pos());
 
@@ -609,173 +800,14 @@ pub(crate) fn encode_state(state: &EngineState) -> Vec<u8> {
         e.usize(idx);
     }
 
-    // Accounting.
-    let acc = &state.acc;
-    e.usize(acc.overload_slots);
-    e.usize(acc.overload_events);
-    e.usize(acc.unmet_emergencies);
-    e.usize(acc.jobs_started);
-    e.usize(acc.jobs_completed);
-    e.usize(acc.jobs_affected);
-    e.usize(acc.jobs_deferred);
-    e.usize(acc.int_iterations);
-    e.usize(acc.fault_events);
-    e.usize(acc.stretch_count);
-    e.f64(acc.reduction_ch);
-    e.f64(acc.cost_ch);
-    e.f64(acc.reward_ch);
-    e.f64(acc.stretch_sum_pct);
-    let deg = &acc.degradation;
-    e.usize(deg.rounds_retried);
-    e.usize(deg.participants_quarantined);
-    e.usize(deg.static_fallbacks);
-    e.usize(deg.eql_cappings);
-    e.usize(deg.diverged_clearings);
-    e.usize(deg.bid_failures);
-    e.f64(deg.residual_overload_watts);
-    e.u8(match deg.deepest_chain_level {
-        None => 0,
-        Some(ChainLevel::Interactive) => 1,
-        Some(ChainLevel::StaticFallback) => 2,
-        Some(ChainLevel::EqlCapping) => 3,
-    });
-    let t = &acc.transport;
-    e.usize(t.clearings);
-    e.usize(t.rounds);
-    e.usize(t.announces);
-    e.usize(t.retransmits);
-    e.usize(t.replies_accepted);
-    e.usize(t.duplicates_ignored);
-    e.usize(t.late_replies_ignored);
-    e.usize(t.invalid_replies);
-    e.usize(t.straggler_rounds);
-    e.usize(t.deadline_quarantines);
-    e.u64(t.virtual_ticks);
-    e.usize(t.messages_dropped);
-    e.usize(t.messages_duplicated);
-    e.usize(acc.per_profile.len());
-    for (name, s) in &acc.per_profile {
-        e.str(name);
-        e.f64(s.reduction_core_hours);
-        e.f64(s.cost_core_hours);
-        e.f64(s.runtime_stretch_pct);
-        e.usize(s.jobs);
-    }
-    e.usize(acc.per_profile_stretch.len());
-    for (name, (sum, count)) in &acc.per_profile_stretch {
-        e.str(name);
-        e.f64(*sum);
-        e.usize(*count);
-    }
-    let fed = &acc.federated;
-    e.usize(fed.events);
-    e.usize(fed.markets);
-    e.usize(fed.rounds);
-    e.usize(fed.infeasible_events);
-    e.f64(fed.residual_watts);
-    e.usize(fed.grid_fault_slots);
-    e.usize(fed.fenced_nodes);
-    e.usize(fed.derated_nodes);
-    e.usize(fed.reassigned_jobs);
-    e.usize(fed.quarantined_jobs);
-    e.f64(fed.dead_cleared_watts);
-    e.f64(fed.derate_excess_watts);
-    e.usize(fed.post_repair_events);
-    e.usize(fed.levels.len());
-    for (name, lv) in &fed.levels {
-        e.str(name);
-        e.usize(lv.depth);
-        e.usize(lv.markets);
-        e.f64(lv.target_watts);
-        e.f64(lv.cleared_watts);
-        e.f64(lv.residual_watts);
-        e.usize(lv.escalations);
-    }
-
-    // Timeline.
-    match &state.timeline {
-        Some(tl) => {
-            e.u8(1);
-            e.f64(tl.slot_secs);
-            e.f64s(&tl.power_w);
-            e.f64s(&tl.demand_w);
-            e.f64s(&tl.capacity_w);
-            e.f64s(&tl.reduction_w);
-            e.f64s(&tl.price);
-        }
-        None => e.u8(0),
-    }
-
-    // Emergency events.
-    e.usize(state.events.len());
-    for ev in &state.events {
-        e.f64(ev.t_secs);
-        e.u8(match ev.kind {
-            EmergencyEventKind::Declare => 0,
-            EmergencyEventKind::Escalate => 1,
-            EmergencyEventKind::Lift => 2,
-        });
-        e.f64(ev.target_watts);
-        e.f64(ev.price);
-    }
-
-    // Telemetry pipeline.
-    match &state.telemetry {
-        Some(tel) => {
-            e.u8(1);
-            enc_sensor_config(&mut e, &tel.sensor.config);
-            e.u64(tel.sensor.rng.state);
-            e.usize(tel.sensor.delay_buf.len());
-            for r in &tel.sensor.delay_buf {
-                enc_reading(&mut e, r);
-            }
-            e.u32(tel.sensor.stuck_remaining);
-            match &tel.sensor.held {
-                Some(r) => {
-                    e.u8(1);
-                    enc_reading(&mut e, r);
-                }
-                None => e.u8(0),
-            }
-            enc_estimator_config(&mut e, &tel.estimator.config);
-            let w: Vec<f64> = tel.estimator.window.iter().copied().collect();
-            e.f64s(&w);
-            e.opt_f64(tel.estimator.ewma);
-            e.usize(tel.estimator.reject_streak);
-            e.opt_f64(tel.estimator.last_reading_secs);
-            e.usize(tel.estimator.health.samples_delivered);
-            e.usize(tel.estimator.health.samples_missed);
-            e.usize(tel.estimator.health.outliers_rejected);
-            e.usize(tel.estimator.health.stale_polls);
-        }
-        None => e.u8(0),
-    }
-
-    e.buf
-}
-
-fn dec_sensor_config(d: &mut Dec<'_>) -> Result<SensorFaultConfig, CheckpointError> {
-    Ok(SensorFaultConfig {
-        noise_sigma_frac: d.f64()?,
-        dropout_prob: d.f64()?,
-        stuck_prob: d.f64()?,
-        stuck_polls: d.u32()?,
-        delay_polls: d.usize()?,
-        spike_prob: d.f64()?,
-        spike_magnitude_frac: d.f64()?,
-    })
-}
-
-fn dec_estimator_config(d: &mut Dec<'_>) -> Result<EstimatorConfig, CheckpointError> {
-    Ok(EstimatorConfig {
-        window: d.usize()?,
-        ewma_alpha: d.f64()?,
-        outlier_frac: d.f64()?,
-        outlier_streak: d.usize()?,
-        stale_after_secs: d.f64()?,
-        margin_frac: d.f64()?,
-        stale_margin_frac: d.f64()?,
-    })
+    let Ok(()) = tail_fields(
+        &mut e,
+        &mut state.acc,
+        &mut state.timeline,
+        &mut state.events,
+        &mut state.telemetry,
+    );
+    e.into_bytes()
 }
 
 pub(crate) fn decode_state(
@@ -819,8 +851,11 @@ pub(crate) fn decode_state(
         active_target: Watts::new(d.f64()?),
     });
 
-    let n_active = d.len()?;
-    let mut active = Vec::with_capacity(n_active);
+    // Active jobs are validated here but rebuilt (cost models, cooperative
+    // bids) only once the whole payload has decoded: a truncated or
+    // corrupt payload is rejected before any of that work.
+    let n_active = d.length()?;
+    let mut drawn = Vec::with_capacity(n_active);
     for _ in 0..n_active {
         let idx = d.usize()?;
         let Some(profile) = setup.profiles.get(idx) else {
@@ -831,17 +866,11 @@ pub(crate) fn decode_state(
         if !noise_factor.is_finite() || noise_factor < 0.0 {
             return Err(CheckpointError::Malformed("invalid noise factor"));
         }
-        let mut job: ActiveJob = sim.rebuild_job(idx, profile, alpha, noise_factor);
-        job.remaining_secs = d.f64()?;
-        job.exec_started_secs = d.f64()?;
-        job.reduction = d.f64()?;
-        job.price = d.f64()?;
-        job.phase_offset = d.f64()?;
-        job.participates = d.bool()?;
-        job.affected = d.bool()?;
-        active.push(job);
+        let dynamic = [d.f64()?, d.f64()?, d.f64()?, d.f64()?, d.f64()?];
+        let flags = [d.bool()?, d.bool()?];
+        drawn.push((idx, profile, alpha, noise_factor, dynamic, flags));
     }
-    let n_deferred = d.len()?;
+    let n_deferred = d.length()?;
     let mut deferred = VecDeque::with_capacity(n_deferred);
     for _ in 0..n_deferred {
         let idx = d.usize()?;
@@ -851,176 +880,26 @@ pub(crate) fn decode_state(
         deferred.push_back(idx);
     }
 
-    let mut acc = Accounting {
-        overload_slots: d.usize()?,
-        overload_events: d.usize()?,
-        unmet_emergencies: d.usize()?,
-        jobs_started: d.usize()?,
-        jobs_completed: d.usize()?,
-        jobs_affected: d.usize()?,
-        jobs_deferred: d.usize()?,
-        int_iterations: d.usize()?,
-        fault_events: d.usize()?,
-        stretch_count: d.usize()?,
-        ..Accounting::default()
-    };
-    acc.reduction_ch = d.f64()?;
-    acc.cost_ch = d.f64()?;
-    acc.reward_ch = d.f64()?;
-    acc.stretch_sum_pct = d.f64()?;
-    acc.degradation = DegradationStats {
-        rounds_retried: d.usize()?,
-        participants_quarantined: d.usize()?,
-        static_fallbacks: d.usize()?,
-        eql_cappings: d.usize()?,
-        diverged_clearings: d.usize()?,
-        bid_failures: d.usize()?,
-        residual_overload_watts: d.f64()?,
-        deepest_chain_level: match d.u8()? {
-            0 => None,
-            1 => Some(ChainLevel::Interactive),
-            2 => Some(ChainLevel::StaticFallback),
-            3 => Some(ChainLevel::EqlCapping),
-            _ => return Err(CheckpointError::Malformed("invalid chain level")),
-        },
-    };
-    acc.transport = TransportTotals {
-        clearings: d.usize()?,
-        rounds: d.usize()?,
-        announces: d.usize()?,
-        retransmits: d.usize()?,
-        replies_accepted: d.usize()?,
-        duplicates_ignored: d.usize()?,
-        late_replies_ignored: d.usize()?,
-        invalid_replies: d.usize()?,
-        straggler_rounds: d.usize()?,
-        deadline_quarantines: d.usize()?,
-        virtual_ticks: d.u64()?,
-        messages_dropped: d.usize()?,
-        messages_duplicated: d.usize()?,
-    };
-    let n_profiles = d.len()?;
-    for _ in 0..n_profiles {
-        let name = d.string()?;
-        let stats = ProfileStats {
-            reduction_core_hours: d.f64()?,
-            cost_core_hours: d.f64()?,
-            runtime_stretch_pct: d.f64()?,
-            jobs: d.usize()?,
-        };
-        acc.per_profile.insert(name, stats);
-    }
-    let n_stretch = d.len()?;
-    for _ in 0..n_stretch {
-        let name = d.string()?;
-        let sum = d.f64()?;
-        let count = d.usize()?;
-        acc.per_profile_stretch.insert(name, (sum, count));
-    }
-    acc.federated.events = d.usize()?;
-    acc.federated.markets = d.usize()?;
-    acc.federated.rounds = d.usize()?;
-    acc.federated.infeasible_events = d.usize()?;
-    acc.federated.residual_watts = d.f64()?;
-    acc.federated.grid_fault_slots = d.usize()?;
-    acc.federated.fenced_nodes = d.usize()?;
-    acc.federated.derated_nodes = d.usize()?;
-    acc.federated.reassigned_jobs = d.usize()?;
-    acc.federated.quarantined_jobs = d.usize()?;
-    acc.federated.dead_cleared_watts = d.f64()?;
-    acc.federated.derate_excess_watts = d.f64()?;
-    acc.federated.post_repair_events = d.usize()?;
-    let n_levels = d.len()?;
-    for _ in 0..n_levels {
-        let name = d.string()?;
-        let level = crate::report::FederatedLevelStats {
-            depth: d.usize()?,
-            markets: d.usize()?,
-            target_watts: d.f64()?,
-            cleared_watts: d.f64()?,
-            residual_watts: d.f64()?,
-            escalations: d.usize()?,
-        };
-        acc.federated.levels.insert(name, level);
-    }
+    let mut acc = Accounting::default();
+    let (mut timeline, mut events, mut telemetry) = (None, Vec::new(), None);
+    tail_fields(&mut d, &mut acc, &mut timeline, &mut events, &mut telemetry)?;
+    d.finish()?;
 
-    let timeline = match d.u8()? {
-        0 => None,
-        1 => Some(Timeline {
-            slot_secs: d.f64()?,
-            power_w: d.f64s()?,
-            demand_w: d.f64s()?,
-            capacity_w: d.f64s()?,
-            reduction_w: d.f64s()?,
-            price: d.f64s()?,
-        }),
-        _ => return Err(CheckpointError::Malformed("invalid timeline tag")),
-    };
-
-    let n_events = d.len()?;
-    let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        let t_secs = d.f64()?;
-        let kind = match d.u8()? {
-            0 => EmergencyEventKind::Declare,
-            1 => EmergencyEventKind::Escalate,
-            2 => EmergencyEventKind::Lift,
-            _ => return Err(CheckpointError::Malformed("invalid event kind")),
-        };
-        events.push(EmergencyEvent {
-            t_secs,
-            kind,
-            target_watts: d.f64()?,
-            price: d.f64()?,
-        });
-    }
-
-    let telemetry = match d.u8()? {
-        0 => None,
-        1 => {
-            let config = dec_sensor_config(&mut d)?;
-            let rng_state = d.u64()?;
-            let n_buf = d.len()?;
-            let mut delay_buf = VecDeque::with_capacity(n_buf);
-            for _ in 0..n_buf {
-                delay_buf.push_back(dec_reading(&mut d)?);
-            }
-            let stuck_remaining = d.u32()?;
-            let held = match d.u8()? {
-                0 => None,
-                1 => Some(dec_reading(&mut d)?),
-                _ => return Err(CheckpointError::Malformed("invalid held tag")),
-            };
-            let sensor = FaultySensor {
-                config,
-                rng: SplitMix64 { state: rng_state },
-                delay_buf,
-                stuck_remaining,
-                held,
-            };
-            let est_config = dec_estimator_config(&mut d)?;
-            let window: VecDeque<f64> = d.f64s()?.into();
-            let estimator = RobustEstimator {
-                config: est_config,
-                window,
-                ewma: d.opt_f64()?,
-                reject_streak: d.usize()?,
-                last_reading_secs: d.opt_f64()?,
-                health: TelemetryHealth {
-                    samples_delivered: d.usize()?,
-                    samples_missed: d.usize()?,
-                    outliers_rejected: d.usize()?,
-                    stale_polls: d.usize()?,
-                },
-            };
-            Some(TelemetryState { sensor, estimator })
-        }
-        _ => return Err(CheckpointError::Malformed("invalid telemetry tag")),
-    };
-
-    if d.pos != payload.len() {
-        return Err(CheckpointError::Malformed("trailing bytes"));
-    }
+    let active = drawn
+        .into_iter()
+        .map(|(idx, profile, alpha, noise_factor, dynamic, flags)| {
+            let mut job: ActiveJob = sim.rebuild_job(idx, profile, alpha, noise_factor);
+            [
+                job.remaining_secs,
+                job.exec_started_secs,
+                job.reduction,
+                job.price,
+                job.phase_offset,
+            ] = dynamic;
+            [job.participates, job.affected] = flags;
+            job
+        })
+        .collect();
 
     Ok(EngineState {
         step,
@@ -1051,26 +930,18 @@ pub(crate) fn decode_state(
 pub(crate) fn write_checkpoint(
     path: &Path,
     sim: &Simulation<'_>,
-    state: &EngineState,
+    state: &mut EngineState,
 ) -> Result<(), CheckpointError> {
     let payload = encode_state(state);
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&fingerprint(sim).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    mpr_durable::fsio::atomic_replace(path, &bytes)?;
+    let mut e = Enc::with_capacity(HEADER_LEN + payload.len());
+    e.raw(&MAGIC);
+    e.u32(VERSION);
+    e.u64(fingerprint(sim));
+    e.usize(payload.len());
+    e.u64(fnv1a(&payload));
+    e.raw(&payload);
+    mpr_durable::fsio::atomic_replace(path, e.as_bytes())?;
     Ok(())
-}
-
-/// A fixed-width little-endian header field at byte offset `at`.
-fn header_field<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], CheckpointError> {
-    bytes
-        .get(at..at.saturating_add(N))
-        .and_then(|s| s.try_into().ok())
-        .ok_or(CheckpointError::Truncated)
 }
 
 /// Reads, validates and decodes a checkpoint into a ready-to-run
@@ -1081,29 +952,23 @@ pub(crate) fn read_checkpoint(
     setup: &RunSetup,
 ) -> Result<EngineState, CheckpointError> {
     let bytes = fs::read(path)?;
-    let magic_ok = bytes.get(..8).is_some_and(|m| *m == MAGIC);
-    if bytes.len() < HEADER_LEN {
-        return Err(if magic_ok {
-            CheckpointError::Truncated
-        } else {
-            CheckpointError::BadMagic
-        });
-    }
-    if !magic_ok {
+    let mut header = Dec::new(&bytes);
+    if header.array() != Ok(MAGIC) {
         return Err(CheckpointError::BadMagic);
     }
-    let version = u32::from_le_bytes(header_field(&bytes, 8)?);
+    if bytes.len() < HEADER_LEN {
+        return Err(CheckpointError::Truncated);
+    }
+    let version = header.u32()?;
     if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let fprint = u64::from_le_bytes(header_field(&bytes, 12)?);
-    let payload_len = u64::from_le_bytes(header_field(&bytes, 20)?);
-    let checksum = u64::from_le_bytes(header_field(&bytes, 28)?);
+    let (fprint, payload_len, checksum) = (header.u64()?, header.u64()?, header.u64()?);
     let payload = bytes.get(HEADER_LEN..).ok_or(CheckpointError::Truncated)?;
     if payload.len() as u64 != payload_len {
         return Err(CheckpointError::Truncated);
     }
-    if fnv1a64(payload) != checksum {
+    if fnv1a(payload) != checksum {
         return Err(CheckpointError::ChecksumMismatch);
     }
     if fprint != fingerprint(sim) {
@@ -1214,6 +1079,89 @@ mod tests {
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_tagged_value_round_trips_at_its_table_index() {
+        for (i, level) in CHAIN_LEVELS.into_iter().enumerate() {
+            let mut d = DegradationStats {
+                deepest_chain_level: level,
+                ..DegradationStats::default()
+            };
+            let mut e = Enc::default();
+            let Ok(()) = degradation_fields(&mut e, &mut d);
+            assert_eq!(e.as_bytes().last().map(|&b| usize::from(b)), Some(i));
+            let mut back = DegradationStats::default();
+            degradation_fields(&mut Dec::new(e.as_bytes()), &mut back).unwrap();
+            assert_eq!(back, d);
+        }
+        for (i, kind) in EVENT_KINDS.into_iter().enumerate() {
+            let mut ev = EmergencyEvent {
+                kind,
+                ..EmergencyEvent::default()
+            };
+            let mut e = Enc::default();
+            let Ok(()) = event_fields(&mut e, &mut ev);
+            assert_eq!(e.as_bytes().get(8).map(|&b| usize::from(b)), Some(i));
+            let mut back = EmergencyEvent::default();
+            event_fields(&mut Dec::new(e.as_bytes()), &mut back).unwrap();
+            assert_eq!(back, ev);
+        }
+    }
+
+    #[test]
+    fn decode_is_total_over_prefixes_and_byte_flips() {
+        // The MPR-INT + agent-fault + lossy-net checkpoint pinned by the
+        // CLI's golden byte-format test: degradation and transport
+        // counters are all live. The checksum is bypassed, so every
+        // corruption reaches the decoder itself.
+        let trace = TraceGenerator::new(ClusterSpec::gaia().with_span_days(3.0)).generate();
+        let cfg = SimConfig::new(Algorithm::MprInt, 15.0)
+            .with_faults(crate::config::FaultPlan::unresponsive_and_crash(0.3, 0.1))
+            .with_net(crate::config::NetPlan {
+                drop_prob: 0.3,
+                duplicate_prob: 0.1,
+                partition_prob: 0.05,
+                ..Default::default()
+            });
+        let path = tmp_ckpt("total");
+        let sim = Simulation::new(&trace, cfg);
+        let plan = CheckpointPlan::every(&path, 500).with_kill_at(3000);
+        sim.run_with_checkpoints(&plan).expect("checkpointed run");
+        let bytes = fs::read(&path).expect("checkpoint on disk");
+        let _ = fs::remove_file(&path);
+        let payload = &bytes[HEADER_LEN..];
+        let setup = sim.setup();
+        let state = decode_state(payload, &sim, &setup).expect("valid payload");
+        assert!(state.acc.degradation.participants_quarantined > 0);
+        assert!(state.acc.transport.messages_dropped > 0);
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(
+                    decode_state(&payload[..cut], &sim, &setup),
+                    Err(CheckpointError::Truncated)
+                ),
+                "prefix of {cut} bytes"
+            );
+        }
+        // A flip that still decodes rebuilds every active job, so the
+        // flips are split across two threads.
+        let half = payload.len() / 2;
+        std::thread::scope(|scope| {
+            for range in [0..half, half..payload.len()] {
+                let (sim, setup) = (&sim, &setup);
+                scope.spawn(move || {
+                    let mut flipped = payload.to_vec();
+                    for i in range {
+                        flipped[i] ^= 0xff;
+                        if let Ok(state) = decode_state(&flipped, sim, setup) {
+                            assert!(state.next_job <= sim.trace.len(), "flip at {i}");
+                        }
+                        flipped[i] ^= 0xff;
+                    }
+                });
+            }
+        });
     }
 
     #[test]

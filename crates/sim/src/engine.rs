@@ -22,7 +22,9 @@ use mpr_core::{
     NetGainAgent, ParticipantSpec, ScaledCost, StaleAgent, SupplyFunction, UnresponsiveAgent,
     Watts,
 };
-use mpr_power::telemetry::{FaultySensor, PowerSensor, RobustEstimator};
+use mpr_power::telemetry::{
+    EstimatorConfig, FaultySensor, PowerSensor, RobustEstimator, SensorFaultConfig,
+};
 use mpr_power::{
     EmergencyAction, EmergencyConfig, EmergencyController, HierarchicalMarket, Oversubscription,
     TopologySpec, TopologyState,
@@ -132,6 +134,16 @@ pub(crate) struct RunSetup {
 pub(crate) struct TelemetryState {
     pub(crate) sensor: FaultySensor,
     pub(crate) estimator: RobustEstimator,
+}
+
+/// A blank pipeline: what a checkpoint decode overwrites field by field.
+impl Default for TelemetryState {
+    fn default() -> Self {
+        Self {
+            sensor: FaultySensor::new(SensorFaultConfig::default(), 0),
+            estimator: RobustEstimator::new(EstimatorConfig::default()),
+        }
+    }
 }
 
 /// Everything that changes while the engine runs — the exact contents of a
@@ -353,7 +365,7 @@ impl<'a> Simulation<'a> {
             // Slot 0 is checkpointed too: a kill before the first periodic
             // interval must still leave a resume point on disk.
             if plan.every_slots > 0 && state.step.is_multiple_of(plan.every_slots) {
-                checkpoint::write_checkpoint(&plan.path, self, &state)?;
+                checkpoint::write_checkpoint(&plan.path, self, &mut state)?;
             }
             if plan.kill_at_slot == Some(state.step) {
                 return Ok(RunOutcome::Killed {

@@ -45,6 +45,7 @@
 
 use std::fmt;
 
+use mpr_core::codec::{Dec, DecodeError, Enc};
 use mpr_core::{CoreHours, PaymentKey, PaymentLog};
 use mpr_durable::wal::{
     encode_segment_header, BODY_PREFIX_LEN, FRAME_HEADER_LEN, SEGMENT_HEADER_LEN,
@@ -143,145 +144,94 @@ pub enum LedgerEvent {
     },
 }
 
-// Little-endian payload codec, the same byte conventions as the checkpoint
-// format. Payloads are fixed-layout per kind; decode is total (no panics)
-// and rejects trailing bytes.
-struct PayloadEnc {
-    buf: Vec<u8>,
-}
-
-impl PayloadEnc {
-    fn new() -> Self {
-        Self {
-            buf: Vec::with_capacity(33),
-        }
-    }
-    fn u8(mut self, v: u8) -> Self {
-        self.buf.push(v);
-        self
-    }
-    fn u64(mut self, v: u64) -> Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-    fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-}
-
-struct PayloadDec<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> PayloadDec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, at: 0 }
-    }
-    fn u8(&mut self) -> Option<u8> {
-        let v = self.buf.get(self.at).copied()?;
-        self.at += 1;
-        Some(v)
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let raw: [u8; 8] = self.buf.get(self.at..self.at + 8)?.try_into().ok()?;
-        self.at += 8;
-        Some(u64::from_le_bytes(raw))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-}
-
 impl LedgerEvent {
-    /// Encodes the event as a `(kind, payload)` WAL record body.
+    /// Encodes the event as a `(kind, payload)` WAL record body: a fixed
+    /// little-endian layout per kind ([`mpr_core::codec::Enc`]).
     #[must_use]
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        match self {
+        let mut e = Enc::with_capacity(33);
+        let record_kind = match *self {
             LedgerEvent::PriceAnnounce {
                 t_secs,
                 target_watts,
                 price,
-            } => (
-                kind::PRICE_ANNOUNCE,
-                PayloadEnc::new()
-                    .f64(*t_secs)
-                    .f64(*target_watts)
-                    .f64(*price)
-                    .buf,
-            ),
+            } => {
+                e.f64(t_secs);
+                e.f64(target_watts);
+                e.f64(price);
+                kind::PRICE_ANNOUNCE
+            }
             LedgerEvent::BidArrival {
                 participant,
                 reduction,
                 price,
-            } => (
-                kind::BID_ARRIVAL,
-                PayloadEnc::new()
-                    .u64(*participant)
-                    .f64(*reduction)
-                    .f64(*price)
-                    .buf,
-            ),
+            } => {
+                e.u64(participant);
+                e.f64(reduction);
+                e.f64(price);
+                kind::BID_ARRIVAL
+            }
             LedgerEvent::Clearing {
                 kind: k,
                 target_watts,
                 delivered_watts,
                 degraded,
-            } => (
-                kind::CLEARING,
-                PayloadEnc::new()
-                    .u8(*k)
-                    .f64(*target_watts)
-                    .f64(*delivered_watts)
-                    .u8(u8::from(*degraded))
-                    .buf,
-            ),
+            } => {
+                e.u8(k);
+                e.f64(target_watts);
+                e.f64(delivered_watts);
+                e.bool(degraded);
+                kind::CLEARING
+            }
             LedgerEvent::Payment {
                 participant,
                 price,
                 reduction,
                 amount_core_hours,
-            } => (
-                kind::PAYMENT,
-                PayloadEnc::new()
-                    .u64(*participant)
-                    .f64(*price)
-                    .f64(*reduction)
-                    .f64(*amount_core_hours)
-                    .buf,
-            ),
+            } => {
+                e.u64(participant);
+                e.f64(price);
+                e.f64(reduction);
+                e.f64(amount_core_hours);
+                kind::PAYMENT
+            }
             LedgerEvent::Emergency {
                 kind: k,
                 t_secs,
                 target_watts,
                 price,
-            } => (
-                kind::EMERGENCY,
-                PayloadEnc::new()
-                    .u8(*k)
-                    .f64(*t_secs)
-                    .f64(*target_watts)
-                    .f64(*price)
-                    .buf,
-            ),
+            } => {
+                e.u8(k);
+                e.f64(t_secs);
+                e.f64(target_watts);
+                e.f64(price);
+                kind::EMERGENCY
+            }
             LedgerEvent::Quarantine { participants } => {
-                (kind::QUARANTINE, PayloadEnc::new().u64(*participants).buf)
+                e.u64(participants);
+                kind::QUARANTINE
             }
             LedgerEvent::SlotCommit { slot } => {
-                (kind::SLOT_COMMIT, PayloadEnc::new().u64(*slot).buf)
+                e.u64(slot);
+                kind::SLOT_COMMIT
             }
-        }
+        };
+        (record_kind, e.into_bytes())
     }
 
     /// Decodes a WAL record body back into an event. `None` on unknown
-    /// kind or malformed payload.
+    /// kind or malformed payload (short, or with trailing bytes); decoding
+    /// never panics.
     #[must_use]
     pub fn decode(record_kind: u8, payload: &[u8]) -> Option<Self> {
-        let mut d = PayloadDec::new(payload);
-        let event = match record_kind {
+        let mut d = Dec::new(payload);
+        let event = Self::read(record_kind, &mut d).ok()?;
+        d.finish().ok()?;
+        Some(event)
+    }
+
+    fn read(record_kind: u8, d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(match record_kind {
             kind::PRICE_ANNOUNCE => LedgerEvent::PriceAnnounce {
                 t_secs: d.f64()?,
                 target_watts: d.f64()?,
@@ -314,9 +264,8 @@ impl LedgerEvent {
                 participants: d.u64()?,
             },
             kind::SLOT_COMMIT => LedgerEvent::SlotCommit { slot: d.u64()? },
-            _ => return None,
-        };
-        d.done().then_some(event)
+            _ => return Err(DecodeError::Malformed("unknown record kind")),
+        })
     }
 
     /// One-line human rendering for `mpr ledger dump`.
@@ -615,7 +564,10 @@ pub fn run_durable(trace: &Trace, cfg: SimConfig) -> Result<DurableRun, LedgerEr
 
     while !state.finished && state.step < setup.horizon_slots {
         if state.step.is_multiple_of(every) {
-            checkpoints.push((state.step as u64, crate::checkpoint::encode_state(&state)));
+            checkpoints.push((
+                state.step as u64,
+                crate::checkpoint::encode_state(&mut state),
+            ));
         }
         if plan.kill_at_slot == Some(state.step as u64) {
             crashed = true;
@@ -684,7 +636,7 @@ pub fn run_durable(trace: &Trace, cfg: SimConfig) -> Result<DurableRun, LedgerEr
         .unwrap_or_else(|| {
             (
                 0,
-                crate::checkpoint::encode_state(&sim.initial_state(&setup)),
+                crate::checkpoint::encode_state(&mut sim.initial_state(&setup)),
             )
         });
     let supervisor_cfg = SupervisorConfig {

@@ -185,7 +185,7 @@ pub struct ProfileStats {
 
 /// One emergency-lifecycle event, always recorded (unlike the heavyweight
 /// per-slot [`Timeline`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EmergencyEvent {
     /// Event time, seconds from simulation origin.
     pub t_secs: f64,
@@ -200,9 +200,10 @@ pub struct EmergencyEvent {
 }
 
 /// The kind of an [`EmergencyEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EmergencyEventKind {
     /// An emergency was declared and the market/algorithm ran.
+    #[default]
     Declare,
     /// Power exceeded capacity during an emergency; reductions deepened.
     Escalate,

@@ -9,6 +9,7 @@
 //! single-shot paths (MPR-STAT, EQL, and OPT federated over a balanced
 //! tree). A refactor of the clearing layers must leave every hash as is.
 
+use mpr_core::codec::fnv1a;
 use mpr_power::TopologySpec;
 use mpr_sim::{Algorithm, FaultPlan, NetPlan, SimConfig, SimReport, Simulation};
 use mpr_workload::{ClusterSpec, Trace, TraceGenerator};
@@ -44,12 +45,6 @@ fn net() -> NetPlan {
         partition_prob: 0.05,
         ..NetPlan::default()
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 fn check(name: &str, config: SimConfig, expected: u64) -> SimReport {

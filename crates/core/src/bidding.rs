@@ -15,9 +15,9 @@ use crate::numeric;
 use crate::supply::SupplyFunction;
 use crate::units::Price;
 
-/// Grid density for the bid/response searches. 512 samples over `[0, Δ]`
-/// keeps strategy computation O(microseconds) — the "lightweight
-/// computation" the paper expects of bidding agents.
+/// Grid density for the bid/response searches: 512 intervals, so 513
+/// points over `[0, Δ]`. It keeps strategy computation O(microseconds) —
+/// the "lightweight computation" the paper expects of bidding agents.
 const GRID: usize = 512;
 
 /// Static bidding strategies for MPR-STAT markets (Fig. 4(a)).
@@ -163,6 +163,49 @@ pub fn best_response<C: CostModel + ?Sized>(
     cost: &C,
     price: Price,
 ) -> Result<BestResponse, MarketError> {
+    cached_best_response(&mut None, cost, price)
+}
+
+/// The cost curve `C(x_i)` sampled once on the best-response grid over
+/// `[0, Δ]`: 513 values, 4.1 KB.
+///
+/// A job's cost curve is fixed for a whole clearing, so an agent that
+/// answers many rounds keeps this and pays per round only the scan and the
+/// golden-section polish. It is valid exactly as long as the cost model it
+/// was sampled from.
+#[derive(Debug, Clone)]
+pub(crate) struct ResponseGrid {
+    grid: numeric::Grid,
+    costs: Box<[f64]>,
+}
+
+impl ResponseGrid {
+    fn sample<C: CostModel + ?Sized>(cost: &C) -> Result<Self, MarketError> {
+        let delta_max = cost.delta_max();
+        if !delta_max.is_finite() || delta_max <= 0.0 {
+            return Err(MarketError::InvalidParameter {
+                name: "delta_max",
+                value: delta_max,
+                constraint: "cost model must allow a positive reduction",
+            });
+        }
+        let grid = numeric::Grid::new(0.0, delta_max, GRID)?;
+        let costs = (0..grid.len()).map(|i| cost.cost(grid.x(i))).collect();
+        Ok(Self { grid, costs })
+    }
+}
+
+/// [`best_response`] answered from `grid`, which is sampled from `cost` on
+/// first use and must only ever be used with that same `cost`.
+///
+/// Net gain at grid point `i` is `q·x_i − C(x_i)` with the same abscissa
+/// bits and the same operation order a fresh evaluation has, so a cached
+/// answer equals a fresh one bit for bit.
+pub(crate) fn cached_best_response<C: CostModel + ?Sized>(
+    grid: &mut Option<ResponseGrid>,
+    cost: &C,
+    price: Price,
+) -> Result<BestResponse, MarketError> {
     let q = price.get();
     if !q.is_finite() || q < 0.0 {
         return Err(MarketError::InvalidParameter {
@@ -171,22 +214,22 @@ pub fn best_response<C: CostModel + ?Sized>(
             constraint: "must be finite and >= 0",
         });
     }
-    let delta_max = cost.delta_max();
-    if !delta_max.is_finite() || delta_max <= 0.0 {
-        return Err(MarketError::InvalidParameter {
-            name: "delta_max",
-            value: delta_max,
-            constraint: "cost model must allow a positive reduction",
-        });
-    }
-    let (delta, net_gain) = numeric::maximize(0.0, delta_max, GRID, |d| q * d - cost.cost(d))?;
+    let ResponseGrid { grid, costs } = match grid {
+        Some(sampled) => sampled,
+        None => grid.insert(ResponseGrid::sample(cost)?),
+    };
+    // `costs` has a sample at every grid index; a NaN would never win.
+    let (delta, net_gain) = grid.maximize(
+        |i| q * grid.x(i) - costs.get(i).copied().unwrap_or(f64::NAN),
+        |d| q * d - cost.cost(d),
+    );
     // Never supply at a loss: δ = 0 always achieves G = 0.
     let (delta, net_gain) = if net_gain < 0.0 {
         (0.0, 0.0)
     } else {
         (delta, net_gain)
     };
-    let bid = (q * (delta_max - delta)).max(0.0);
+    let bid = (q * (cost.delta_max() - delta)).max(0.0);
     Ok(BestResponse {
         delta,
         bid,
@@ -205,8 +248,53 @@ pub fn net_gain<C: CostModel + ?Sized>(cost: &C, supply: &SupplyFunction, price:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{LinearCost, PowerLawCost, QuadraticCost};
+    use crate::cost::{LinearCost, LogFitCost, PowerLawCost, QuadraticCost};
+    use crate::market::interactive::{BiddingAgent, NetGainAgent};
+    use crate::units::Watts;
     use proptest::prelude::*;
+
+    /// Non-convex and piecewise: at `q = 1.6` the net gain is exactly zero
+    /// at every grid point up to the kink, a run of ties across all lanes.
+    struct KinkedCost;
+
+    impl CostModel for KinkedCost {
+        fn cost(&self, delta: f64) -> f64 {
+            let d = delta.max(0.0);
+            if d <= 0.75 {
+                1.6 * d
+            } else {
+                1.2 + 10.0 * (d - 0.75)
+            }
+        }
+        fn delta_max(&self) -> f64 {
+            1.0
+        }
+    }
+
+    /// The reference: one uncached `numeric::maximize` of `q·δ − C(δ)`.
+    fn uncached(cost: &dyn CostModel, q: f64) -> BestResponse {
+        let delta_max = cost.delta_max();
+        let (delta, net_gain) =
+            numeric::maximize(0.0, delta_max, GRID, |d| q * d - cost.cost(d)).unwrap();
+        let (delta, net_gain) = if net_gain < 0.0 {
+            (0.0, 0.0)
+        } else {
+            (delta, net_gain)
+        };
+        BestResponse {
+            delta,
+            bid: (q * (delta_max - delta)).max(0.0),
+            net_gain,
+        }
+    }
+
+    fn bits(r: &BestResponse) -> [u64; 3] {
+        [r.delta.to_bits(), r.bid.to_bits(), r.net_gain.to_bits()]
+    }
+
+    fn price() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(1.6), Just(10.0), 0.0f64..20.0]
+    }
 
     #[test]
     fn cooperative_bid_linear_cost_closed_form() {
@@ -307,6 +395,37 @@ mod tests {
     }
 
     #[test]
+    fn kinked_ties_break_toward_the_kink() {
+        // Every grid point up to the kink ties at zero gain; the last one
+        // (δ = 0.75) wins the scan, and the polish stays in its cells.
+        let r = best_response(&KinkedCost, Price::new(1.6)).unwrap();
+        assert!((r.delta - 0.75).abs() <= 1.0 / 512.0, "delta = {}", r.delta);
+        assert!(r.net_gain.abs() < 1e-12, "net gain = {}", r.net_gain);
+    }
+
+    #[test]
+    fn cached_agent_keeps_error_precedence() {
+        // A bad price is reported before a bad Δ, cached or not.
+        let mut agent = NetGainAgent::new(1, LinearCost::new(1.0, 0.0), Watts::new(1.0));
+        for err in [
+            agent.respond(f64::NAN).unwrap_err(),
+            best_response(&LinearCost::new(1.0, 0.0), Price::new(f64::NAN)).unwrap_err(),
+        ] {
+            assert!(matches!(
+                err,
+                MarketError::InvalidParameter { name: "price", .. }
+            ));
+        }
+        assert!(matches!(
+            agent.respond(1.0).unwrap_err(),
+            MarketError::InvalidParameter {
+                name: "delta_max",
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn cooperative_bid_rejects_zero_delta_max() {
         let cost = LinearCost::new(1.0, 0.0);
         assert!(cooperative_bid(&cost).is_err());
@@ -331,6 +450,36 @@ mod tests {
                 let at = s.supply(Price::new(price));
                 prop_assert!((at - r.delta).abs() < 1e-6,
                     "supply({price}) = {at} but delta = {}", r.delta);
+            }
+        }
+
+        /// An agent answering a whole exchange from its cached grid bids
+        /// exactly what a fresh best response (and an uncached grid
+        /// maximization) bids at every price.
+        #[test]
+        fn cached_agent_matches_fresh_best_responses(
+            model in 0usize..5,
+            a in 0.1f64..10.0,
+            b in 1.1f64..3.0,
+            delta_max in 0.1f64..2.0,
+            prices in prop::collection::vec(price(), 1..40),
+        ) {
+            let cost: Box<dyn CostModel> = match model {
+                0 => Box::new(LinearCost::new(a, delta_max)),
+                1 => Box::new(QuadraticCost::new(a, delta_max)),
+                2 => Box::new(PowerLawCost::new(a, b, delta_max)),
+                3 => Box::new(LogFitCost::new(a, 4.0 * b, delta_max)),
+                _ => Box::new(KinkedCost),
+            };
+            let mut agent = NetGainAgent::new(7, &*cost, Watts::new(125.0));
+            let mut grid = None;
+            for q in prices {
+                let want = uncached(&*cost, q);
+                let cached = cached_best_response(&mut grid, &*cost, Price::new(q)).unwrap();
+                let fresh = best_response(&*cost, Price::new(q)).unwrap();
+                prop_assert_eq!(bits(&cached), bits(&want), "q = {}", q);
+                prop_assert_eq!(bits(&fresh), bits(&want), "q = {}", q);
+                prop_assert_eq!(agent.respond(q).unwrap().to_bits(), fresh.bid.to_bits(), "q = {}", q);
             }
         }
 

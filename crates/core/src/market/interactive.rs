@@ -85,11 +85,16 @@ pub(crate) fn collect_bids<A: BiddingAgent>(
 
 /// The rational agent: best-responds by maximizing the net gain
 /// `G = q·δ(q) − C(δ(q))` of Eqn. (7) at every announced price.
+///
+/// Its cost curve is sampled on the response grid at the first
+/// announcement and reused for every later one; the answers are those of
+/// [`best_response`](bidding::best_response), bit for bit.
 #[derive(Debug, Clone)]
 pub struct NetGainAgent<C> {
     id: JobId,
     cost: C,
     watts_per_unit: f64,
+    grid: Option<bidding::ResponseGrid>,
 }
 
 impl<C: CostModel> NetGainAgent<C> {
@@ -101,6 +106,7 @@ impl<C: CostModel> NetGainAgent<C> {
             id,
             cost,
             watts_per_unit: watts_per_unit.get(),
+            grid: None,
         }
     }
 
@@ -122,7 +128,7 @@ impl<C: CostModel + Send> BiddingAgent for NetGainAgent<C> {
         self.cost.delta_max()
     }
     fn respond(&mut self, price: f64) -> Result<f64, MarketError> {
-        Ok(bidding::best_response(&self.cost, Price::new(price))?.bid)
+        Ok(bidding::cached_best_response(&mut self.grid, &self.cost, Price::new(price))?.bid)
     }
 }
 

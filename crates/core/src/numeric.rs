@@ -76,34 +76,146 @@ pub fn maximize<F>(lo: f64, hi: f64, grid: usize, f: F) -> Result<(f64, f64), Ma
 where
     F: Fn(f64) -> f64,
 {
-    if !(lo.is_finite() && hi.is_finite()) || lo > hi {
-        return Err(MarketError::Numeric("invalid maximization bracket"));
+    let grid = Grid::new(lo, hi, grid)?;
+    Ok(grid.maximize(|i| f(grid.x(i)), &f))
+}
+
+/// The uniform grid [`maximize`] scans: `n + 1` points over `n` intervals
+/// of `[lo, hi]`, with `n = max(intervals, 3)`.
+///
+/// Split out so a caller whose objective is cheap to rebuild from cached
+/// samples (the MPR-INT best response, whose cost curve is fixed for a
+/// whole clearing) can sample the expensive part once per point and still
+/// run the one scan and the one polish [`maximize`] runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grid {
+    lo: f64,
+    hi: f64,
+    step: f64,
+    intervals: usize,
+}
+
+impl Grid {
+    /// The grid over `[lo, hi]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MarketError::Numeric`] when the bracket is invalid.
+    pub(crate) fn new(lo: f64, hi: f64, intervals: usize) -> Result<Self, MarketError> {
+        if !(lo.is_finite() && hi.is_finite()) || lo > hi {
+            return Err(MarketError::Numeric("invalid maximization bracket"));
+        }
+        let intervals = intervals.max(3);
+        Ok(Self {
+            lo,
+            hi,
+            step: (hi - lo) / intervals as f64,
+            intervals,
+        })
     }
-    if hi - lo <= f64::EPSILON * lo.abs().max(1.0) {
-        return Ok((lo, f(lo)));
+
+    /// Number of grid points, `n + 1`.
+    pub(crate) fn len(&self) -> usize {
+        self.intervals + 1
     }
-    let n = grid.max(3);
-    let step = (hi - lo) / n as f64;
-    let mut best_i = 0usize;
-    let mut best_v = f64::NEG_INFINITY;
-    for i in 0..=n {
-        let x = lo + step * i as f64;
-        let v = f(x);
-        // Ties break toward larger x so bang-bang objectives prefer the
-        // full-supply corner, matching the paper's cooperative spirit.
+
+    /// The `i`-th abscissa, `lo + step·i`: the only formula for it, so a
+    /// cached sample and a fresh one see the same bits.
+    pub(crate) fn x(&self, i: usize) -> f64 {
+        self.lo + self.step * i as f64
+    }
+
+    /// Maximizes `f` on this grid: scan, then polish. `value(i)` must be
+    /// `f(self.x(i))`, possibly rebuilt from cached samples; `f` itself
+    /// is evaluated only by the polish (or once at `lo` when the bracket
+    /// is a point).
+    pub(crate) fn maximize<V, F>(&self, value: V, f: F) -> (f64, f64)
+    where
+        V: Fn(usize) -> f64,
+        F: Fn(f64) -> f64,
+    {
+        if self.hi - self.lo <= f64::EPSILON * self.lo.abs().max(1.0) {
+            return (self.lo, f(self.lo));
+        }
+        let (best_i, best_v) = scan(self.len(), value);
+        self.polish(best_i, best_v, &f)
+    }
+
+    /// Golden-section refinement over the cells either side of grid point
+    /// `best_i`; the refined point is kept only if it is at least as good
+    /// as the grid's best.
+    fn polish<F>(&self, best_i: usize, best_v: f64, f: &F) -> (f64, f64)
+    where
+        F: Fn(f64) -> f64,
+    {
+        let a = self.x(best_i.saturating_sub(1));
+        let b = self.x(best_i + 1).min(self.hi);
+        let (x, v) = golden_section_max(a, b, f);
         if v >= best_v {
-            best_v = v;
-            best_i = i;
+            (x, v)
+        } else {
+            (self.x(best_i), best_v)
         }
     }
-    let a = lo + step * best_i.saturating_sub(1) as f64;
-    let b = (lo + step * (best_i + 1) as f64).min(hi);
-    let (x, v) = golden_section_max(a, b, &f);
-    if v >= best_v {
-        Ok((x, v))
-    } else {
-        Ok((lo + step * best_i as f64, best_v))
+}
+
+/// The last index of `0..len` attaining the maximum of `value`, with that
+/// value; `(0, -∞)` when every value is NaN.
+///
+/// Ties break toward the larger index so bang-bang objectives prefer the
+/// full-supply corner, matching the paper's cooperative spirit. The scan
+/// keeps four running maxima, lane `j` over the indices `≡ j (mod 4)`, so
+/// the comparisons form four short dependency chains rather than one long
+/// one. Each lane keeps its last `>=` maximum, and the merge takes the
+/// largest value with the largest index among equals: exactly what one
+/// sequential `v >= best` loop returns, bit for bit. `value` is still
+/// called in index order.
+fn scan<V>(len: usize, value: V) -> (usize, f64)
+where
+    V: Fn(usize) -> f64,
+{
+    #[derive(Clone, Copy)]
+    struct Lane {
+        i: usize,
+        v: f64,
     }
+    impl Lane {
+        fn offer(&mut self, i: usize, v: f64) {
+            if v >= self.v {
+                self.v = v;
+                self.i = i;
+            }
+        }
+    }
+    let mut lanes = [Lane {
+        i: 0,
+        v: f64::NEG_INFINITY,
+    }; 4];
+    let full = len - len % 4;
+    for base in (0..full).step_by(4) {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            lane.offer(base + j, value(base + j));
+        }
+    }
+    for (j, lane) in lanes.iter_mut().enumerate().take(len - full) {
+        lane.offer(full + j, value(full + j));
+    }
+    // Lane values are never NaN (`NaN >= x` is false), so `>` and `==`
+    // order them totally.
+    let best = lanes.iter().fold(
+        Lane {
+            i: 0,
+            v: f64::NEG_INFINITY,
+        },
+        |best, lane| {
+            if lane.v > best.v || (lane.v == best.v && lane.i > best.i) {
+                *lane
+            } else {
+                best
+            }
+        },
+    );
+    (best.i, best.v)
 }
 
 /// Golden-section search for the maximum of a unimodal `f` on `[a, b]`.
@@ -156,6 +268,75 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-lane loop the four-lane scan must reproduce.
+    fn sequential_scan(values: &[f64]) -> (usize, f64) {
+        let mut best = (0, f64::NEG_INFINITY);
+        for (i, &v) in values.iter().enumerate() {
+            if v >= best.1 {
+                best = (i, v);
+            }
+        }
+        best
+    }
+
+    fn assert_scans_agree(values: &[f64]) {
+        let (i, v) = scan(values.len(), |i| values[i]);
+        let (want_i, want_v) = sequential_scan(values);
+        assert_eq!(
+            (i, v.to_bits()),
+            (want_i, want_v.to_bits()),
+            "values {values:?}: scan ({i}, {v}), sequential ({want_i}, {want_v})"
+        );
+    }
+
+    /// Few distinct values, so ties across lanes are the common case.
+    fn awkward() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(0.0),
+            Just(-0.0),
+            Just(1.0),
+            Just(-1.0),
+            Just(2.5),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn four_lane_scan_matches_the_sequential_loop(
+            values in prop_oneof![
+                prop::collection::vec(awkward(), 1..=9),
+                prop::collection::vec(awkward(), 513..=513),
+            ],
+        ) {
+            assert_scans_agree(&values);
+        }
+    }
+
+    #[test]
+    fn four_lane_scan_edge_cases() {
+        let nan = f64::NAN;
+        for values in [
+            vec![nan],
+            vec![nan; 9],
+            vec![f64::NEG_INFINITY; 6],
+            vec![nan, f64::NEG_INFINITY, nan],
+            vec![0.0, -0.0, 0.0, -0.0, 0.0],
+            vec![-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+            vec![1.0, 3.0, 3.0, 3.0, 1.0, 3.0, 2.0, 1.0],
+            vec![f64::INFINITY, 1.0, nan, f64::INFINITY, 0.0],
+            (0..513).map(|i| f64::from(i % 5)).collect(),
+            (0..513).map(|i| -f64::from(i)).collect(),
+        ] {
+            assert_scans_agree(&values);
+        }
+    }
 
     #[test]
     fn threshold_finds_minimal_feasible_point() {

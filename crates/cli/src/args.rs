@@ -244,10 +244,12 @@ USAGE:
                   [--mechanism opt|eql|mpr-stat|mpr-int|vcg]  (--alg is a synonym)
                   [--oversub PCT] [--days N] [--seed N] [--participation F] [--csv]
                   [--fault-unresponsive F] [--fault-crash F]
-                  [--fault-stale F] [--fault-byzantine F]   (MPR-INT fault injection)
+                  [--fault-stale F] [--fault-byzantine F]   (MPR-INT fault injection;
+                                                             flat market, not --federated)
                   [--net-drop F] [--net-duplicate F] [--net-delay TICKS]
                   [--net-partition F] [--net-deadline TICKS]
-                  [--net-retries N]                         (MPR-INT lossy bid transport)
+                  [--net-retries N]                         (MPR-INT lossy bid transport;
+                                                             flat market, not --federated)
                   [--sensor-noise F] [--sensor-dropout F]
                   [--sensor-stale POLLS]                    (telemetry fault injection)
                   [--checkpoint-every SLOTS --checkpoint-path FILE]
@@ -507,6 +509,25 @@ fn parse_simulate(rest: &[String]) -> Result<SimulateArgs, UsageError> {
     }
     if out.topology.is_some() && !out.federated {
         return Err(UsageError("--topology needs --federated".into()));
+    }
+    let agent_faults = out.fault_unresponsive > 0.0
+        || out.fault_crash > 0.0
+        || out.fault_stale > 0.0
+        || out.fault_byzantine > 0.0;
+    let net_faults = out.net_drop > 0.0
+        || out.net_duplicate > 0.0
+        || out.net_delay > 0
+        || out.net_partition > 0.0
+        || out.net_deadline > 0
+        || out.net_retries > 0;
+    // The agent-fault and lossy-transport chain clears the flat market
+    // only; the federated tree walk runs no agent exchange.
+    if out.federated && out.algorithm == Algorithm::MprInt && (agent_faults || net_faults) {
+        return Err(UsageError(
+            "--mechanism mpr-int --federated excludes --fault-*/--net-* \
+             (agent and transport faults clear the flat market only)"
+                .into(),
+        ));
     }
     let tree_faults = out.tree_fault_ups > 0.0
         || out.tree_fault_ats > 0.0
@@ -1042,6 +1063,49 @@ mod tests {
         assert!(parse(&argv("simulate --federated")).is_err());
         assert!(parse(&argv("simulate --topology tree.json")).is_err());
         assert!(parse(&argv("simulate --topology")).is_err());
+    }
+
+    #[test]
+    fn federated_mpr_int_rejects_agent_fault_flags() {
+        let fed = "simulate --mechanism mpr-int --topology t.json --federated";
+        for flag in [
+            "--fault-unresponsive 0.3",
+            "--fault-crash 0.1",
+            "--fault-stale 0.2",
+            "--fault-byzantine 0.1",
+        ] {
+            let err = parse(&argv(&format!("{fed} {flag}"))).unwrap_err();
+            assert!(err.0.contains("--fault-*/--net-*"), "{flag}: {err}");
+            // The same flag is fine on the flat MPR-INT market and under
+            // any other federated mechanism.
+            assert!(parse(&argv(&format!("simulate --mechanism mpr-int {flag}"))).is_ok());
+            assert!(parse(&argv(&format!(
+                "simulate --mechanism mpr-stat --topology t.json --federated {flag}"
+            )))
+            .is_ok());
+        }
+        assert!(parse(&argv(fed)).is_ok(), "no fault flag, no error");
+    }
+
+    #[test]
+    fn federated_mpr_int_rejects_net_fault_flags() {
+        let fed = "simulate --alg mpr-int --topology t.json --federated";
+        for flag in [
+            "--net-drop 0.2",
+            "--net-duplicate 0.1",
+            "--net-delay 4",
+            "--net-partition 0.05",
+            "--net-deadline 8",
+            "--net-retries 3",
+        ] {
+            let err = parse(&argv(&format!("{fed} {flag}"))).unwrap_err();
+            assert!(err.0.contains("--fault-*/--net-*"), "{flag}: {err}");
+            assert!(parse(&argv(&format!("simulate --alg mpr-int {flag}"))).is_ok());
+            assert!(parse(&argv(&format!(
+                "simulate --alg opt --topology t.json --federated {flag}"
+            )))
+            .is_ok());
+        }
     }
 
     #[test]

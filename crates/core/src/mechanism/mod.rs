@@ -290,17 +290,19 @@ impl Clearing {
     /// The headline price is the maximum part price — the binding subtree
     /// market. Diagnostics fold part-by-part in the given (deterministic)
     /// order. A single full-cover part whose target matches is returned
-    /// verbatim, making the identity partition's merge bit-identical to
-    /// the flat clearing, diagnostics included.
+    /// verbatim (moved, not copied), making the identity partition's merge
+    /// bit-identical to the flat clearing, diagnostics included.
     #[must_use]
     pub fn merge(
         instance: &MarketInstance,
         target: Watts,
-        parts: &[(InstanceView<'_>, Clearing)],
+        mut parts: Vec<(InstanceView<'_>, Clearing)>,
     ) -> Self {
-        if let [(view, clearing)] = parts {
+        if let [(view, clearing)] = parts.as_slice() {
             if view.is_full() && clearing.target_watts() == target {
-                return clearing.clone();
+                if let Some((_, clearing)) = parts.pop() {
+                    return clearing;
+                }
             }
         }
         let n = instance.len();
@@ -309,7 +311,7 @@ impl Clearing {
         let mut payments = vec![0.0; n];
         let mut folded: Option<Diagnostics> = None;
         let mut price = Price::ZERO;
-        for (view, clearing) in parts {
+        for (view, clearing) in &parts {
             for (j, ((r, q), pay)) in clearing
                 .reductions()
                 .iter()
@@ -678,7 +680,7 @@ mod tests {
                 (v, c)
             })
             .collect();
-        let merged = Clearing::merge(&inst, target, &parts);
+        let merged = Clearing::merge(&inst, target, parts);
         assert_eq!(merged.reductions(), flat.reductions());
         assert_eq!(merged.participant_prices(), flat.participant_prices());
         assert_eq!(merged.payment_rates(), flat.payment_rates());
@@ -708,7 +710,7 @@ mod tests {
                 (v, c)
             })
             .collect();
-        let merged = Clearing::merge(&inst, Watts::new(100.0), &parts);
+        let merged = Clearing::merge(&inst, Watts::new(100.0), parts);
         // Every row got its own delta back, in parent order.
         assert_eq!(merged.reductions(), &[1.0, 2.0, 3.0, 4.0]);
         // Headline price is the binding (maximum) part price.

@@ -33,7 +33,7 @@ use mpr_core::mechanism::{
 use mpr_core::{Price, Watts};
 use rayon::prelude::*;
 
-use crate::hierarchy::{LevelKind, PowerHierarchy};
+use crate::hierarchy::{LevelKind, PowerHierarchy, SubtreeRows};
 
 /// Residual tolerance: deficits below this are treated as feasible.
 const DEFICIT_TOL: f64 = 1e-6;
@@ -267,37 +267,25 @@ impl<'h> HierarchicalMarket<'h> {
         self.exhausted_frac
     }
 
-    /// Ascending instance rows living in the subtree rooted at `node`.
-    fn subtree_rows(&self, node: usize) -> Vec<u32> {
-        let racks = self.hierarchy.leaf_racks(node);
-        let mut rows: Vec<u32> = self
-            .assignment
+    /// The node's capacity deficit after subtracting committed reductions:
+    /// its load, less the committed watts of its rows summed in ascending
+    /// row order, less its capacity.
+    fn effective_deficit(
+        &self,
+        index: &SubtreeRows,
+        node: usize,
+        committed: &[f64],
+        wpu: &[f64],
+    ) -> f64 {
+        let load = self.hierarchy.load_at(node).get();
+        let shed: f64 = index
+            .rows(node)
             .iter()
-            .enumerate()
-            .filter(|(_, rack)| racks.binary_search(rack).is_ok())
-            .map(|(row, _)| row as u32)
-            .collect();
-        rows.sort_unstable();
-        rows
-    }
-
-    /// Committed watts inside the subtree rooted at `node`.
-    fn committed_in_subtree(&self, node: usize, committed: &[f64], wpu: &[f64]) -> f64 {
-        let racks = self.hierarchy.leaf_racks(node);
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, rack)| racks.binary_search(rack).is_ok())
-            .map(|(row, _)| {
+            .map(|&row| {
+                let row = row as usize;
                 committed.get(row).copied().unwrap_or(0.0) * wpu.get(row).copied().unwrap_or(0.0)
             })
-            .sum()
-    }
-
-    /// The node's capacity deficit after subtracting committed reductions.
-    fn effective_deficit(&self, node: usize, committed: &[f64], wpu: &[f64]) -> f64 {
-        let load = self.hierarchy.load_at(node).get();
-        let shed = self.committed_in_subtree(node, committed, wpu);
+            .sum();
         load - shed - self.hierarchy.capacity_of(node).get()
     }
 
@@ -329,8 +317,11 @@ impl<'h> HierarchicalMarket<'h> {
                 assigned: self.assignment.len(),
             });
         }
-        let wpu = instance.watts_per_unit_slice().to_vec();
-        let deltas = instance.deltas().to_vec();
+        let wpu = instance.watts_per_unit_slice();
+        let deltas = instance.deltas();
+        // Built per clear rather than in `new`, which stays a cheap
+        // validation pass for callers that build many markets.
+        let index = SubtreeRows::new(self.hierarchy, &self.assignment);
 
         let mut committed = vec![0.0f64; n];
         let mut prices_acc = vec![0.0f64; n];
@@ -345,15 +336,18 @@ impl<'h> HierarchicalMarket<'h> {
         let mut markets = 0usize;
         let mut rounds = 0usize;
 
-        let initial_deficit = self.maximal_deficit_sum(&committed, &wpu);
+        // One sweep of effective deficits per committed state: the first
+        // gives the initial deficit and round one's nodes, each round's
+        // closing sweep the next round's nodes or the final residual.
+        let mut over = self.overloaded_effective(&index, &committed, wpu);
+        let initial_deficit = self.maximal_deficit_sum(&over);
 
         for _round in 0..self.max_rounds {
-            let over = self.overloaded_effective(&committed, &wpu);
             if over.is_empty() {
                 break;
             }
             rounds += 1;
-            let committed_before: f64 = committed.iter().zip(&wpu).map(|(c, w)| c * w).sum();
+            let committed_before: f64 = committed.iter().zip(wpu).map(|(c, w)| c * w).sum();
 
             // Deepest level first: rack markets shed before their UPS asks.
             let mut depths: Vec<usize> = over.iter().map(|&(d, _, _)| d).collect();
@@ -366,11 +360,11 @@ impl<'h> HierarchicalMarket<'h> {
                     .iter()
                     .filter(|&&(d, _, _)| d == depth)
                     .filter_map(|&(_, id, _)| {
-                        let deficit = self.effective_deficit(id, &committed, &wpu);
+                        let deficit = self.effective_deficit(&index, id, &committed, wpu);
                         if deficit <= DEFICIT_TOL {
                             return None;
                         }
-                        let rows = self.subtree_rows(id);
+                        let rows = index.rows(id);
                         // A row is pristine while its commit slot still
                         // holds the exact `+0.0` it was initialised with —
                         // commits only ever add positive reductions, so a
@@ -379,10 +373,10 @@ impl<'h> HierarchicalMarket<'h> {
                             committed.get(r as usize).copied().unwrap_or(0.0).to_bits() == 0
                         });
                         let (rows, remaining) = if pristine {
-                            (rows, None)
+                            (rows.to_vec(), None)
                         } else {
                             let (kept, remaining) =
-                                gather_remaining(instance, &rows, &committed, self.exhausted_frac);
+                                gather_remaining(instance, rows, &committed, self.exhausted_frac);
                             if kept.is_empty() {
                                 // Every row is exhausted: the deficit is
                                 // stuck residual, there is no market to run.
@@ -497,7 +491,8 @@ impl<'h> HierarchicalMarket<'h> {
                 }
             }
 
-            let committed_after: f64 = committed.iter().zip(&wpu).map(|(c, w)| c * w).sum();
+            let committed_after: f64 = committed.iter().zip(wpu).map(|(c, w)| c * w).sum();
+            over = self.overloaded_effective(&index, &committed, wpu);
             if committed_after - committed_before <= DEFICIT_TOL {
                 break; // No progress: every remaining deficit is stuck.
             }
@@ -513,8 +508,10 @@ impl<'h> HierarchicalMarket<'h> {
         // Final per-node residuals + upward propagation for the reports.
         let mut levels: Vec<LevelReport> = reports.into_values().collect();
         for report in &mut levels {
-            report.residual =
-                Watts::new(self.effective_deficit(report.id, &committed, &wpu).max(0.0));
+            report.residual = Watts::new(
+                self.effective_deficit(&index, report.id, &committed, wpu)
+                    .max(0.0),
+            );
             // The market is out of supply here: the leftover deficit must
             // escalate to the node's emergency path (direct capping).
             report.escalated = report.residual.get() > DEFICIT_TOL;
@@ -530,17 +527,20 @@ impl<'h> HierarchicalMarket<'h> {
         for report in &mut levels {
             let mut propagated = report.residual;
             for &(id, depth, residual) in &snapshot {
-                if depth > report.depth && self.is_under(id, report.id) && residual > propagated {
+                if depth > report.depth
+                    && self.hierarchy.is_ancestor_or_self(report.id, id)
+                    && residual > propagated
+                {
                     propagated = residual;
                 }
             }
             report.propagated_residual = propagated;
         }
 
-        let residual = Watts::new(self.maximal_deficit_sum(&committed, &wpu));
+        let residual = Watts::new(self.maximal_deficit_sum(&over));
         let clearing = match pristine_parts {
             Some(parts) if !parts.is_empty() => {
-                Clearing::merge(instance, Watts::new(initial_deficit), &parts)
+                Clearing::merge(instance, Watts::new(initial_deficit), parts)
             }
             _ => Clearing::build(
                 &instance.view(),
@@ -562,29 +562,17 @@ impl<'h> HierarchicalMarket<'h> {
         })
     }
 
-    /// `true` when `node` lies inside the subtree rooted at `root`.
-    fn is_under(&self, node: usize, root: usize) -> bool {
-        let mut cursor = Some(node);
-        let mut hops = 0usize;
-        while let Some(id) = cursor {
-            if id == root {
-                return true;
-            }
-            hops += 1;
-            if hops > self.hierarchy.len() {
-                return false;
-            }
-            cursor = self.hierarchy.parent(id);
-        }
-        false
-    }
-
     /// Effectively overloaded nodes as `(depth, id, deficit)` in
     /// deterministic (depth, id) order.
-    fn overloaded_effective(&self, committed: &[f64], wpu: &[f64]) -> Vec<(usize, usize, f64)> {
+    fn overloaded_effective(
+        &self,
+        index: &SubtreeRows,
+        committed: &[f64],
+        wpu: &[f64],
+    ) -> Vec<(usize, usize, f64)> {
         let mut over: Vec<(usize, usize, f64)> = (0..self.hierarchy.len())
             .filter_map(|id| {
-                let deficit = self.effective_deficit(id, committed, wpu);
+                let deficit = self.effective_deficit(index, id, committed, wpu);
                 (deficit > DEFICIT_TOL)
                     .then(|| (self.hierarchy.depth(id).unwrap_or(0), id, deficit))
             })
@@ -593,16 +581,16 @@ impl<'h> HierarchicalMarket<'h> {
         over
     }
 
-    /// Summed deficit over the *maximal* overloaded subtrees (nodes with
-    /// no overloaded strict ancestor) — disjoint, so the sum is the total
-    /// shed the tree still needs.
-    fn maximal_deficit_sum(&self, committed: &[f64], wpu: &[f64]) -> f64 {
-        let over = self.overloaded_effective(committed, wpu);
+    /// Summed deficit over the *maximal* overloaded subtrees of one
+    /// [`overloaded_effective`](Self::overloaded_effective) sweep (nodes
+    /// with no overloaded strict ancestor) — disjoint, so the sum is the
+    /// total shed the tree still needs.
+    fn maximal_deficit_sum(&self, over: &[(usize, usize, f64)]) -> f64 {
         over.iter()
             .filter(|&&(_, id, _)| {
-                !over
-                    .iter()
-                    .any(|&(_, other, _)| other != id && self.is_under(id, other))
+                !over.iter().any(|&(_, other, _)| {
+                    other != id && self.hierarchy.is_ancestor_or_self(other, id)
+                })
             })
             .map(|&(_, _, deficit)| deficit)
             .sum()
@@ -893,6 +881,119 @@ mod tests {
             "price {} should compound past the single-pass ceiling with fencing off",
             outcome.clearing.price().get()
         );
+    }
+
+    mod index {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        /// A random forest of 1–2 trees with 2–4 levels each (rooted at a
+        /// PDU, UPS or ATS), 1–3 children per inner node and random
+        /// positive capacities and rack loads. Returns the hierarchy and
+        /// its rack ids.
+        fn random_tree(rng: &mut ChaCha8Rng) -> (PowerHierarchy, Vec<usize>) {
+            const KINDS: [LevelKind; 4] = [
+                LevelKind::Ats,
+                LevelKind::Ups,
+                LevelKind::Pdu,
+                LevelKind::Rack,
+            ];
+            let mut h = PowerHierarchy::new();
+            let mut racks = Vec::new();
+            for t in 0..rng.gen_range(1usize..=2) {
+                let top = 4 - rng.gen_range(2usize..=4);
+                let root = h.add_root(
+                    format!("root-{t}"),
+                    KINDS[top],
+                    Watts::new(rng.gen_range(1.0..1e4)),
+                );
+                let mut frontier = vec![root];
+                for &kind in &KINDS[top + 1..] {
+                    let mut next = Vec::new();
+                    for &parent in &frontier {
+                        for _ in 0..rng.gen_range(1usize..=3) {
+                            let cap = Watts::new(rng.gen_range(1.0..1e4));
+                            let id = h.add_child("n", kind, cap, parent).unwrap();
+                            next.push(id);
+                        }
+                    }
+                    frontier = next;
+                }
+                racks.extend(frontier);
+            }
+            for &rack in &racks {
+                h.set_load(rack, Watts::new(rng.gen_range(0.0..2e4)))
+                    .unwrap();
+            }
+            (h, racks)
+        }
+
+        /// The pre-index query: every row whose rack is among the node's
+        /// leaf racks, in ascending row order.
+        fn reference_rows(h: &PowerHierarchy, assignment: &[usize], node: usize) -> Vec<u32> {
+            let racks = h.leaf_racks(node);
+            assignment
+                .iter()
+                .enumerate()
+                .filter(|(_, rack)| racks.binary_search(rack).is_ok())
+                .map(|(row, _)| row as u32)
+                .collect()
+        }
+
+        /// The pre-index committed watts of a subtree, summed over the
+        /// same filter.
+        fn reference_committed(
+            h: &PowerHierarchy,
+            assignment: &[usize],
+            node: usize,
+            committed: &[f64],
+            wpu: &[f64],
+        ) -> f64 {
+            let racks = h.leaf_racks(node);
+            assignment
+                .iter()
+                .enumerate()
+                .filter(|(_, rack)| racks.binary_search(rack).is_ok())
+                .map(|(row, _)| committed[row] * wpu[row])
+                .sum()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The subtree index returns exactly the old filter's rows, and
+            /// the deficits it sums are bit-identical to the old sums, on
+            /// random trees, assignments and committed vectors (zeros
+            /// included).
+            #[test]
+            fn index_matches_the_leaf_rack_filter_bit_for_bit(
+                seed in 0u64..=u64::MAX,
+                rows in 0usize..80,
+            ) {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let (h, racks) = random_tree(&mut rng);
+                let assignment: Vec<usize> = (0..rows)
+                    .map(|_| racks[rng.gen_range(0..racks.len())])
+                    .collect();
+                let committed: Vec<f64> = (0..rows)
+                    .map(|_| if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(0.0..4.0) })
+                    .collect();
+                let wpu: Vec<f64> = (0..rows).map(|_| rng.gen_range(10.0..200.0)).collect();
+                let market = HierarchicalMarket::new(&h, assignment.clone()).unwrap();
+                let index = SubtreeRows::new(&h, &assignment);
+                for node in 0..h.len() {
+                    let expect_rows = reference_rows(&h, &assignment, node);
+                    prop_assert_eq!(index.rows(node), expect_rows.as_slice(), "node {} rows", node);
+                    let shed = reference_committed(&h, &assignment, node, &committed, &wpu);
+                    let expect = h.load_at(node).get() - shed - h.capacity_of(node).get();
+                    let got = market.effective_deficit(&index, node, &committed, &wpu);
+                    prop_assert_eq!(got.to_bits(), expect.to_bits(), "node {} deficit", node);
+                }
+                prop_assert!(index.rows(h.len()).is_empty());
+            }
+        }
     }
 
     #[test]

@@ -275,9 +275,10 @@ impl PowerHierarchy {
 
     /// Ids of every rack in the subtree rooted at `id`, ascending. A rack
     /// id queries as its own (single-element) leaf set; unknown ids yield
-    /// an empty set.
-    #[must_use]
-    pub fn leaf_racks(&self, id: usize) -> Vec<usize> {
+    /// an empty set. The reference the [`SubtreeRows`] index is checked
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn leaf_racks(&self, id: usize) -> Vec<usize> {
         if self.nodes.get(id).is_none() {
             return Vec::new();
         }
@@ -290,22 +291,21 @@ impl PowerHierarchy {
             .collect()
     }
 
+    /// `id` itself, then its parent, and so on up to its root; empty for
+    /// an unknown id. Bounded by the node count, so a (malformed) parent
+    /// cycle cannot hang the walk.
+    fn ancestors(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.nodes.get(id).map(|_| id), |&i| {
+            self.nodes.get(i).and_then(|n| n.parent)
+        })
+        .take(self.nodes.len())
+    }
+
     /// `true` when `ancestor` is `node` itself or lies on `node`'s parent
-    /// chain.
-    fn is_ancestor_or_self(&self, ancestor: usize, node: usize) -> bool {
-        let mut cursor = Some(node);
-        let mut hops = 0usize;
-        while let Some(id) = cursor {
-            if id == ancestor {
-                return true;
-            }
-            hops += 1;
-            if hops > self.nodes.len() {
-                return false;
-            }
-            cursor = self.nodes.get(id).and_then(|n| n.parent);
-        }
-        false
+    /// chain, i.e. when `node` lies inside the subtree rooted at
+    /// `ancestor`.
+    pub(crate) fn is_ancestor_or_self(&self, ancestor: usize, node: usize) -> bool {
+        self.ancestors(node).any(|id| id == ancestor)
     }
 
     /// The parent id of a node, if it has one.
@@ -357,6 +357,93 @@ impl PowerHierarchy {
         let pdu = h.push_node("pdu", LevelKind::Pdu, ample, Some(ups));
         let rack = h.push_node("rack", LevelKind::Rack, ample, Some(pdu));
         (h, ups, rack)
+    }
+}
+
+/// Instance rows grouped by the subtrees that contain them: a flat
+/// compressed-sparse-row index (per-node offsets into one row vector)
+/// over a row → rack assignment.
+///
+/// Row `r` assigned to rack `k` belongs to `k` and to every ancestor of
+/// `k`; [`SubtreeRows::rows`] returns a node's rows in ascending order,
+/// exactly the rows (and the order) a scan of the whole assignment
+/// filtered by the node's racks yields. Building counts each rack's rows,
+/// then writes every row once per node on its rack's ancestor chain:
+/// O(rows × depth), after which every node's rows are one slice. A row
+/// whose entry is not a rack of the hierarchy belongs to no subtree.
+#[derive(Debug, Clone, Default)]
+pub struct SubtreeRows {
+    /// `offsets[node]..offsets[node + 1]` is `node`'s range of `rows`.
+    offsets: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl SubtreeRows {
+    /// Indexes `assignment` (instance row → rack id) over `hierarchy`.
+    #[must_use]
+    pub fn new(hierarchy: &PowerHierarchy, assignment: &[usize]) -> Self {
+        // Each rack's ancestor chain (itself first), flattened; any other
+        // node's chain is empty, so a row naming it joins no subtree.
+        let mut chains = Vec::new();
+        let mut chain_at = vec![0..0; hierarchy.len()];
+        for (node, at) in chain_at.iter_mut().enumerate() {
+            if hierarchy.kind_of(node) == Some(LevelKind::Rack) {
+                let start = chains.len();
+                chains.extend(hierarchy.ancestors(node));
+                *at = start..chains.len();
+            }
+        }
+        let chain = |rack: usize| -> &[usize] {
+            chain_at
+                .get(rack)
+                .and_then(|at| chains.get(at.clone()))
+                .unwrap_or_default()
+        };
+        // Count each rack's rows, add the counts up each rack's chain one
+        // slot to the right, then prefix-sum them into start offsets.
+        let mut per_rack = vec![0usize; hierarchy.len()];
+        for &rack in assignment {
+            if let Some(count) = per_rack.get_mut(rack) {
+                *count += 1;
+            }
+        }
+        let mut offsets = vec![0usize; hierarchy.len() + 1];
+        for (rack, &count) in per_rack.iter().enumerate() {
+            for &node in chain(rack) {
+                if let Some(slot) = offsets.get_mut(node + 1) {
+                    *slot += count;
+                }
+            }
+        }
+        let mut total = 0;
+        for offset in &mut offsets {
+            total += *offset;
+            *offset = total;
+        }
+        // Ascending rows fill each node's range front to back.
+        let mut next = offsets.clone();
+        let mut rows = vec![0u32; total];
+        for (row, &rack) in assignment.iter().enumerate() {
+            for &node in chain(rack) {
+                if let Some(at) = next.get_mut(node) {
+                    if let Some(slot) = rows.get_mut(*at) {
+                        *slot = row as u32;
+                    }
+                    *at += 1;
+                }
+            }
+        }
+        Self { offsets, rows }
+    }
+
+    /// The ascending instance rows inside the subtree rooted at `node`
+    /// (empty for an unknown node).
+    #[must_use]
+    pub fn rows(&self, node: usize) -> &[u32] {
+        match (self.offsets.get(node), self.offsets.get(node + 1)) {
+            (Some(&start), Some(&end)) => self.rows.get(start..end).unwrap_or_default(),
+            _ => &[],
+        }
     }
 }
 
@@ -599,6 +686,36 @@ mod tests {
         // A rack is its own leaf set; unknown ids are empty.
         assert_eq!(h.leaf_racks(racks_a[1]), vec![racks_a[1]]);
         assert!(h.leaf_racks(99).is_empty());
+    }
+
+    #[test]
+    fn ancestors_walk_from_the_node_to_its_root() {
+        let (h, ups_a, _, racks_a, racks_b) = two_ups_tree();
+        let pdu_a = h.parent(racks_a[0]).unwrap();
+        let chain: Vec<usize> = h.ancestors(racks_a[0]).collect();
+        assert_eq!(chain, vec![racks_a[0], pdu_a, ups_a, 0]);
+        assert_eq!(h.ancestors(0).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(h.ancestors(99).count(), 0);
+        assert!(h.is_ancestor_or_self(ups_a, racks_a[1]));
+        assert!(h.is_ancestor_or_self(racks_a[1], racks_a[1]));
+        assert!(!h.is_ancestor_or_self(ups_a, racks_b[0]));
+        assert!(!h.is_ancestor_or_self(racks_a[0], ups_a));
+    }
+
+    #[test]
+    fn subtree_rows_index_each_row_under_every_ancestor_of_its_rack() {
+        let (h, ups_a, ups_b, racks_a, racks_b) = two_ups_tree();
+        // Rows 2 and 5 name a UPS and an unknown node: no subtree has them.
+        let assignment = vec![racks_b[1], racks_a[0], ups_a, racks_a[1], racks_b[1], 99];
+        let index = SubtreeRows::new(&h, &assignment);
+        assert_eq!(index.rows(0), &[0, 1, 3, 4]);
+        assert_eq!(index.rows(ups_a), &[1, 3]);
+        assert_eq!(index.rows(ups_b), &[0, 4]);
+        assert_eq!(index.rows(racks_a[0]), &[1]);
+        assert_eq!(index.rows(racks_b[1]), &[0, 4]);
+        assert!(index.rows(racks_b[0]).is_empty());
+        assert!(index.rows(99).is_empty());
+        assert!(SubtreeRows::new(&h, &[]).rows(0).is_empty());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use emergency::{
 pub use error::PowerError;
 pub use federated::{FederatedError, FederatedOutcome, HierarchicalMarket, LevelReport};
 pub use gridfault::{GridFault, GridFaultKind, GridFaultPlan, TopologyState};
-pub use hierarchy::{HierarchyError, LevelKind, PowerHierarchy};
+pub use hierarchy::{HierarchyError, LevelKind, PowerHierarchy, SubtreeRows};
 pub use model::PowerModel;
 pub use oversubscription::Oversubscription;
 pub use policy::{CapacityPolicy, FixedCapacity};

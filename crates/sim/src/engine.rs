@@ -1096,14 +1096,15 @@ impl<'a> Simulation<'a> {
             .map(|((_, r), w)| r * w)
             .sum();
         acc.federated.dead_cleared_watts += dead_w;
+        let index = mpr_power::SubtreeRows::new(hierarchy, hier_assignment);
         for node in 0..hierarchy.len() {
-            let racks = hierarchy.leaf_racks(node);
-            let shed: f64 = hier_assignment
+            let shed: f64 = index
+                .rows(node)
                 .iter()
-                .zip(reductions)
-                .zip(wpu)
-                .filter(|((rack, _), _)| racks.binary_search(rack).is_ok())
-                .map(|((_, r), w)| r * w)
+                .filter_map(|&row| {
+                    let row = row as usize;
+                    Some(reductions.get(row)? * wpu.get(row)?)
+                })
                 .sum();
             let post = hierarchy.load_at(node).get() - shed;
             let residual = outcome

@@ -221,3 +221,175 @@ fn federated_per_level_accounting_is_consistent() {
     let total_markets: usize = fed.levels.values().map(|l| l.markets).sum();
     assert_eq!(total_markets, fed.markets);
 }
+
+/// Which levels of the 4 × 4 × 4 tree bind in a pinned clear.
+#[derive(Clone, Copy)]
+enum Binding {
+    /// Every third rack is capped below its load; nothing above binds.
+    Racks,
+    /// Only the ATS is capped below the total load.
+    Root,
+    /// The rack caps, UPS 0 and the ATS all bind, so upper markets re-clear
+    /// partially committed subtrees.
+    Nested,
+}
+
+/// An ATS feeding 4 UPSes × 4 PDUs × 4 racks (85 nodes), with `rows` jobs
+/// of [`full_instance`] interleaved over the 64 racks. Every rack carries
+/// 1.5× its rows' sheddable watts plus 500 W; a binding node is capped
+/// 30 % of its sheddable watts below its load.
+fn tree_4x4x4(rows: usize, binding: Binding) -> (PowerHierarchy, Vec<usize>, MarketInstance) {
+    const AMPLE: f64 = 1e12;
+    let inst = full_instance(rows);
+    let rack_of = |row: usize| (row * 13) % 64;
+    let mut shed = [0.0f64; 64];
+    for (row, (d, w)) in inst
+        .deltas()
+        .iter()
+        .zip(inst.watts_per_unit_slice())
+        .enumerate()
+    {
+        shed[rack_of(row)] += d * w;
+    }
+    let load = |r: usize| 1.5 * shed[r] + 500.0;
+    let total_load: f64 = (0..64).map(load).sum();
+    let total_shed: f64 = shed.iter().sum();
+    let ups0_load: f64 = (0..16).map(load).sum();
+    let ups0_shed: f64 = shed[..16].iter().sum();
+    let (ats_cap, ups0_cap, racks_bind) = match binding {
+        Binding::Racks => (AMPLE, AMPLE, true),
+        Binding::Root => (total_load - 0.3 * total_shed, AMPLE, false),
+        Binding::Nested => (
+            total_load - 0.3 * total_shed,
+            ups0_load - 0.3 * ups0_shed,
+            true,
+        ),
+    };
+    let mut h = PowerHierarchy::new();
+    let ats = h.add_root("ats", LevelKind::Ats, Watts::new(ats_cap));
+    let mut racks = Vec::with_capacity(64);
+    for u in 0..4 {
+        let cap = if u == 0 { ups0_cap } else { AMPLE };
+        let ups = h
+            .add_child(format!("ups-{u}"), LevelKind::Ups, Watts::new(cap), ats)
+            .unwrap();
+        for p in 0..4 {
+            let pdu = h
+                .add_child(
+                    format!("pdu-{u}.{p}"),
+                    LevelKind::Pdu,
+                    Watts::new(AMPLE),
+                    ups,
+                )
+                .unwrap();
+            for _ in 0..4 {
+                let r = racks.len();
+                let cap = if racks_bind && r % 3 == 0 {
+                    load(r) - 0.3 * shed[r]
+                } else {
+                    AMPLE
+                };
+                let rack = h
+                    .add_child(format!("rack-{r}"), LevelKind::Rack, Watts::new(cap), pdu)
+                    .unwrap();
+                h.set_load(rack, Watts::new(load(r))).unwrap();
+                racks.push(rack);
+            }
+        }
+    }
+    let assignment = (0..rows).map(|row| racks[rack_of(row)]).collect();
+    (h, assignment, inst)
+}
+
+/// FNV-1a over every output of a federated clear: the merged reductions,
+/// participant prices, payment rates and price, every level report, and
+/// the sweep totals.
+fn outcome_digest(outcome: &mpr_power::FederatedOutcome) -> u64 {
+    let mut enc = mpr_core::codec::Enc::with_capacity(4096);
+    let clearing = &outcome.clearing;
+    for v in clearing
+        .reductions()
+        .iter()
+        .chain(clearing.participant_prices())
+        .chain(clearing.payment_rates())
+    {
+        enc.f64(*v);
+    }
+    enc.f64(clearing.price().get());
+    for l in &outcome.levels {
+        enc.usize(l.id);
+        enc.usize(l.depth);
+        enc.f64(l.target.get());
+        enc.f64(l.cleared.get());
+        enc.usize(l.markets);
+        enc.f64(l.residual.get());
+        enc.f64(l.propagated_residual.get());
+        enc.bool(l.escalated);
+    }
+    enc.usize(outcome.rounds);
+    enc.usize(outcome.markets);
+    enc.f64(outcome.initial_deficit.get());
+    enc.f64(outcome.residual.get());
+    mpr_core::codec::fnv1a(enc.as_bytes())
+}
+
+/// Pins rack-, root- and nested-binding clears of a 4 × 4 × 4 tree,
+/// bit for bit, under MPR-STAT and OPT: any change to how the sweep finds
+/// subtree rows, sums committed watts or orders its markets moves a
+/// digest. Each case pins the MPR-STAT and OPT digests, the reported level
+/// ids (the same under both), and `(markets, rounds)` per mechanism.
+#[test]
+fn pinned_4x4x4_clears_are_bit_identical() {
+    let binding_racks = vec![
+        3, 6, 10, 14, 18, 21, 26, 30, 34, 37, 41, 46, 50, 53, 57, 61, 66, 69, 73, 77, 81, 84,
+    ];
+    let mut nested_levels = vec![0, 1];
+    nested_levels.extend(&binding_racks);
+    let cases = [
+        (
+            "racks",
+            Binding::Racks,
+            (0x1d0e_7c94_c50c_a17c_u64, 0x2be8_b06d_922a_0c1b_u64),
+            binding_racks,
+            [(22, 1), (22, 1)],
+        ),
+        (
+            "root",
+            Binding::Root,
+            (0xf539_8145_1d31_86da, 0x8d35_1d4c_e58a_c42c),
+            vec![0],
+            [(1, 1), (1, 1)],
+        ),
+        (
+            "nested",
+            Binding::Nested,
+            (0x75c5_c2cc_8af8_d7e0, 0xad0f_ed82_1cd6_291a),
+            nested_levels,
+            [(24, 1), (26, 3)],
+        ),
+    ];
+    for (name, binding, digests, levels, sweeps) in cases {
+        let (h, assignment, inst) = tree_4x4x4(256, binding);
+        let market = HierarchicalMarket::new(&h, assignment).unwrap();
+        let stat = market.clear(&inst, MclrMechanism::best_effort).unwrap();
+        let opt = market
+            .clear(&inst, || OptMechanism::best_effort(OptMethod::Auto))
+            .unwrap();
+        assert_eq!(
+            (outcome_digest(&stat), outcome_digest(&opt)),
+            digests,
+            "{name}: digests"
+        );
+        for (mechanism, outcome, sweep) in
+            [("mpr-stat", &stat, sweeps[0]), ("opt", &opt, sweeps[1])]
+        {
+            let ids: Vec<usize> = outcome.levels.iter().map(|l| l.id).collect();
+            assert_eq!(ids, levels, "{name}/{mechanism}: levels");
+            assert_eq!(
+                (outcome.markets, outcome.rounds),
+                sweep,
+                "{name}/{mechanism}: (markets, rounds)"
+            );
+        }
+    }
+}
